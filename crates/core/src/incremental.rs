@@ -47,7 +47,7 @@
 //! of the equivalent dense [`Instance`]; the certificate-level audit
 //! (`amf-audit`) runs in the test suites, which sit above this crate.
 
-use crate::levels::{invert_total, LevelCap};
+use crate::levels::{invert_total_with, LevelCap};
 use crate::model::{Allocation, Instance};
 use crate::solver::{
     close_rel, AmfSolver, FairnessMode, FreezeReason, FreezeRound, SolveOutput, SolveStats,
@@ -237,7 +237,8 @@ pub struct IncrementalAmf<S> {
     grow_jobs: Vec<bool>,
     grow_sites: Vec<bool>,
     side: Vec<bool>,
-    members: Vec<LevelCap<S>>,
+    /// Breakpoint buffer of the Dinkelbach step's level inversion.
+    events: Vec<(S, S)>,
     split_buf: Vec<Vec<S>>,
 }
 
@@ -271,7 +272,7 @@ impl<S: Scalar> IncrementalAmf<S> {
             grow_jobs: Vec::new(),
             grow_sites: Vec::new(),
             side: Vec::new(),
-            members: Vec::new(),
+            events: Vec::new(),
             split_buf: Vec::new(),
         })
     }
@@ -728,23 +729,23 @@ impl<S: Scalar> IncrementalAmf<S> {
                     }
                     budget += min2(self.capacities[s], want);
                 }
-                self.members.clear();
                 for slot in 0..n_slots {
-                    if !self.side[slot] {
-                        continue;
-                    }
-                    match frozen[slot] {
-                        Some(a) => budget -= a,
-                        None => self
-                            .members
-                            .push(*caps[slot].as_ref().expect("active slot has caps")),
+                    if self.side[slot] {
+                        if let Some(a) = frozen[slot] {
+                            budget -= a;
+                        }
                     }
                 }
+                let side = &self.side;
+                let active_in_side = |slot: &usize| side[*slot] && frozen[*slot].is_none();
                 debug_assert!(
-                    !self.members.is_empty(),
+                    (0..n_slots).any(|slot| active_in_side(&slot)),
                     "violating set without active jobs: frozen state infeasible"
                 );
-                let t_next = invert_total(&self.members, budget);
+                let members = (0..n_slots)
+                    .filter(active_in_side)
+                    .map(|slot| *caps[slot].as_ref().expect("active slot has caps"));
+                let t_next = invert_total_with(members, budget, &mut self.events);
                 if !t_next.definitely_lt(t) {
                     // No numerical progress (f64 only): accept and freeze.
                     break t_next;

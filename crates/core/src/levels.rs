@@ -84,24 +84,66 @@ impl<S: Scalar> LevelCap<S> {
 
 /// Largest level `t` such that `Σ_j caps[j].at(t) <= budget`.
 ///
-/// Precondition: `Σ_j floor_j <= budget` (the floors fit the budget) and
-/// `budget < Σ_j ceil_j` (a crossing exists). The first holds throughout
+/// Precondition: every floor is non-negative (as for every [`LevelCap`]
+/// this crate builds), `Σ_j floor_j <= budget` (the floors fit the budget)
+/// and `budget < Σ_j ceil_j` (a crossing exists). The second holds throughout
 /// the AMF solver because a previously feasible level dominates the floors;
-/// the second holds because the caller only inverts *violated* sets.
+/// the third holds because the caller only inverts *violated* sets.
+///
+/// Allocates its breakpoint list; loops that invert repeatedly hold one
+/// and call [`invert_total_with`].
 ///
 /// # Panics
 /// Panics if no crossing exists (caller bug).
 pub fn invert_total<S: Scalar>(caps: &[LevelCap<S>], budget: S) -> S {
-    assert!(!caps.is_empty(), "invert_total: empty cap set");
+    invert_total_with(
+        caps.iter().copied(),
+        budget,
+        &mut Vec::with_capacity(2 * caps.len()),
+    )
+}
+
+/// [`invert_total`] over any sequence of caps, sweeping its breakpoints in
+/// the caller's `events` buffer (cleared first), so a repeated inversion
+/// allocates nothing once the buffer has grown. Every inversion in the
+/// workspace runs through this routine; the result does not depend on the
+/// buffer's prior contents.
+///
+/// # Panics
+/// Panics if `caps` is empty or no crossing exists (caller bug).
+pub fn invert_total_with<S: Scalar>(
+    caps: impl IntoIterator<Item = LevelCap<S>>,
+    budget: S,
+    events: &mut Vec<(S, S)>,
+) -> S {
     // Sweep events: at `low_breakpoint` a job's slope turns on (+w); at
-    // `high_breakpoint` it turns off (-w).
-    let mut events: Vec<(S, S)> = Vec::with_capacity(2 * caps.len());
+    // `high_breakpoint` it turns off (-w). Floors are non-negative, so no
+    // breakpoint lies below the starting level 0. Those at exactly 0 come
+    // first in the stably sorted order, in insertion order, and only add
+    // to the slope, so they are added here in that order and only the
+    // positive ones are sorted: the same additions in the same order as
+    // sorting them all.
+    events.clear();
     let mut g = S::ZERO; // Σ u_j(0) = Σ floor_j (w*0 <= floor for floor >= 0).
+    let mut slope = S::ZERO;
+    let mut any = false;
     for c in caps {
+        any = true;
         g += c.floor;
-        events.push((c.low_breakpoint(), c.weight));
-        events.push((c.high_breakpoint(), -c.weight));
+        for (bp, dw) in [
+            (c.low_breakpoint(), c.weight),
+            (c.high_breakpoint(), -c.weight),
+        ] {
+            if bp > S::ZERO {
+                events.push((bp, dw));
+            } else {
+                assert!(bp.is_valid(), "NaN breakpoint");
+                debug_assert!(!(bp < S::ZERO), "invert_total: negative breakpoint");
+                slope += dw;
+            }
+        }
     }
+    assert!(any, "invert_total: empty cap set");
     events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN breakpoint"));
 
     debug_assert!(
@@ -110,8 +152,7 @@ pub fn invert_total<S: Scalar>(caps: &[LevelCap<S>], budget: S) -> S {
     );
 
     let mut t = S::ZERO;
-    let mut slope = S::ZERO;
-    for &(bp, dw) in &events {
+    for &(bp, dw) in events.iter() {
         if bp > t {
             // Advance the level across the segment [t, bp).
             let seg = bp - t;
@@ -226,6 +267,82 @@ mod tests {
                 "budget {budget}: level {t} gives total {total}"
             );
         }
+    }
+
+    #[test]
+    fn invert_with_reused_buffer_matches_fresh() {
+        // A dirty, oversized buffer must not leak into the result.
+        let caps = vec![
+            LevelCap::new(1.0, 0.5, 4.0),
+            LevelCap::new(3.0, 0.0, 2.0),
+            LevelCap::new(0.5, 1.0, 9.0),
+        ];
+        let mut events = vec![(-7.0, 3.0); 17];
+        for budget in [2.0, 3.5, 5.0, 8.0, 12.0] {
+            let fresh = invert_total(&caps, budget);
+            let reused = invert_total_with(caps.iter().copied(), budget, &mut events);
+            assert_eq!(fresh.to_bits(), reused.to_bits());
+        }
+    }
+
+    /// The inversion as it sorted every breakpoint, zero ones included.
+    fn invert_sorting_all(caps: &[LevelCap<f64>], budget: f64) -> f64 {
+        let mut events: Vec<(f64, f64)> = Vec::new();
+        let mut g = 0.0;
+        for c in caps {
+            g += c.floor;
+            events.push((c.low_breakpoint(), c.weight));
+            events.push((c.high_breakpoint(), -c.weight));
+        }
+        events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN breakpoint"));
+        let mut t = 0.0;
+        let mut slope = 0.0;
+        for &(bp, dw) in &events {
+            if bp > t {
+                let next_g = g + slope * (bp - t);
+                if next_g.definitely_gt(budget) {
+                    return t + (budget - g) / slope;
+                }
+                g = next_g;
+                t = bp;
+            }
+            slope += dw;
+        }
+        t
+    }
+
+    proptest::proptest! {
+        /// Adding the zero breakpoints' slopes up front gives the bits of
+        /// sorting them with the rest: zero floors, zero ceilings and
+        /// shared breakpoints included.
+        fn zero_breakpoints_keep_the_sorted_sum_order(
+            specs in proptest::collection::vec((0u8..4, 0.0f64..5.0, 0.0f64..5.0, 0.1f64..3.0), 1..24),
+            frac in 0.0f64..1.0,
+        ) {
+            let caps: Vec<LevelCap<f64>> = specs
+                .iter()
+                .map(|&(kind, a, b, w)| match kind {
+                    0 => LevelCap::new(w, 0.0, 0.0),
+                    1 => LevelCap::new(w, 0.0, a.round()),
+                    2 => LevelCap::new(w, a.min(b), a.max(b)),
+                    _ => LevelCap::new(1.0, 0.0, a),
+                })
+                .collect();
+            let floors: f64 = caps.iter().map(|c| c.floor).sum();
+            let ceils: f64 = caps.iter().map(|c| c.ceil).sum();
+            let budget = floors + frac * (ceils - floors);
+            if ceils - floors > 1e-6 {
+                let want = invert_sorting_all(&caps, budget);
+                let got = invert_total_with(caps.iter().copied(), budget, &mut Vec::new());
+                proptest::prop_assert_eq!(want.to_bits(), got.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty cap set")]
+    fn invert_empty_set_panics() {
+        invert_total_with(std::iter::empty::<LevelCap<f64>>(), 1.0, &mut Vec::new());
     }
 
     #[test]

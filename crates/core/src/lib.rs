@@ -42,7 +42,8 @@
 //! * [`reference_aggregates`] — brute-force ground truth for small
 //!   instances;
 //! * [`water_fill`] / [`water_fill_weighted`] — conventional single-pool
-//!   max-min fairness.
+//!   max-min fairness ([`water_fill_weighted_into`] is the allocation-free
+//!   form).
 //!
 //! Everything is generic over [`amf_numeric::Scalar`]: use `f64` for speed
 //! or [`amf_numeric::Rational`] for exact results.
@@ -79,4 +80,4 @@ pub use solver::{
     AmfSolver, BottleneckStrategy, FairnessMode, FreezeReason, FreezeRound, SolveOutput,
     SolveStats, SolverPool,
 };
-pub use water::{water_fill, water_fill_weighted};
+pub use water::{water_fill, water_fill_weighted, water_fill_weighted_into};

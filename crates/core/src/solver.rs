@@ -47,7 +47,7 @@
 //! enumeration in [`crate::reference`]); with `f64` all comparisons use a
 //! relative tolerance.
 
-use crate::levels::{invert_total, LevelCap};
+use crate::levels::{invert_total_with, LevelCap};
 use crate::model::{Allocation, Instance};
 use amf_flow::{AllocationNetwork, FlowBackend, FlowScratch};
 use amf_numeric::{max2, min2, sum, Scalar};
@@ -208,12 +208,70 @@ pub struct SolverPool<S> {
     grow_jobs: Vec<bool>,
     grow_sites: Vec<bool>,
     freeze: Vec<bool>,
-    members: Vec<LevelCap<S>>,
-    preload: Vec<Vec<S>>,
-    demands_buf: Vec<Vec<S>>,
+    events: Vec<(S, S)>,
     split: Vec<Vec<S>>,
     frozen_usage: Vec<S>,
     rank_buf: Vec<S>,
+    keep_site: Vec<bool>,
+    site_map: Vec<usize>,
+    /// Warm flows carried into the next round's network, one
+    /// `(site, flow)` pair per surviving demand edge, job `i`'s at
+    /// `preload[preload_start[i]..preload_start[i + 1]]`.
+    preload: Vec<(usize, S)>,
+    preload_start: Vec<usize>,
+    /// The contracted subproblem of the current round and the one the
+    /// contraction builds for the next (swapped after every round).
+    cur: Active<S>,
+    next: Active<S>,
+}
+
+/// The contracted subproblem a round works on (see the module docs).
+#[derive(Debug)]
+struct Active<S> {
+    /// Original indices of the live jobs.
+    jobs: Vec<usize>,
+    /// Original indices of the live sites.
+    sites: Vec<usize>,
+    /// Flow each live job has already committed at removed sites.
+    base: Vec<S>,
+    /// Residual budget of each live site
+    /// (`caps[k] + committed_at(sites[k]) == c_s`).
+    caps: Vec<S>,
+    /// Job `i`'s demand support is `support[start[i]..start[i + 1]]`:
+    /// `(k, d)` for every live site `k` (ascending) with `d > 0`. These are
+    /// exactly the nonzero terms a dense scan adds, so sums over the support
+    /// are bit-identical to dense row sums. The network has demand edges
+    /// only for `d.is_positive()` (`d > 1e-9` in `f64`), a subset, so rank
+    /// sums must not read the network's edges instead.
+    start: Vec<usize>,
+    support: Vec<(usize, S)>,
+}
+
+impl<S> Active<S> {
+    fn new() -> Self {
+        Active {
+            jobs: Vec::new(),
+            sites: Vec::new(),
+            base: Vec::new(),
+            caps: Vec::new(),
+            start: Vec::new(),
+            support: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.jobs.clear();
+        self.sites.clear();
+        self.base.clear();
+        self.caps.clear();
+        self.start.clear();
+        self.support.clear();
+    }
+
+    /// Job `i`'s demand support.
+    fn support(&self, i: usize) -> &[(usize, S)] {
+        &self.support[self.start[i]..self.start[i + 1]]
+    }
 }
 
 impl<S: Scalar> SolverPool<S> {
@@ -226,12 +284,16 @@ impl<S: Scalar> SolverPool<S> {
             grow_jobs: Vec::new(),
             grow_sites: Vec::new(),
             freeze: Vec::new(),
-            members: Vec::new(),
-            preload: Vec::new(),
-            demands_buf: Vec::new(),
+            events: Vec::new(),
             split: Vec::new(),
             frozen_usage: Vec::new(),
             rank_buf: Vec::new(),
+            keep_site: Vec::new(),
+            site_map: Vec::new(),
+            preload: Vec::new(),
+            preload_start: Vec::new(),
+            cur: Active::new(),
+            next: Active::new(),
         }
     }
 
@@ -445,6 +507,11 @@ impl AmfSolver {
 
     /// The shrinking-network solve (default path). See the module docs for
     /// why committing frozen splits and contracting dead sites is exact.
+    ///
+    /// After the initial scan of the instance, every per-round and
+    /// per-check step walks the active jobs' demand supports, so its cost
+    /// is linear in the live demand entries rather than in live jobs ×
+    /// live sites, and every buffer comes from the pool.
     fn solve_contracted<S: Scalar>(
         &self,
         inst: &Instance<S>,
@@ -467,12 +534,16 @@ impl AmfSolver {
             grow_jobs,
             grow_sites,
             freeze,
-            members,
-            preload,
-            demands_buf,
+            events,
             split,
             frozen_usage,
             rank_buf,
+            keep_site,
+            site_map,
+            preload,
+            preload_start,
+            cur,
+            next,
         } = pool;
 
         let caps = self.build_caps(inst);
@@ -497,40 +568,48 @@ impl AmfSolver {
             row.resize(m, S::ZERO);
         }
 
-        // Active subproblem: original indices of live jobs/sites, the flow
-        // each live job has already committed at removed sites (`base`),
-        // and the residual budget of each live site (`cur_caps`, satellite
-        // invariant: cur_caps[k] + committed_at(act_sites[k]) == c_s).
-        let mut act_jobs: Vec<usize> = (0..n).filter(|&j| frozen[j].is_none()).collect();
-        let mut act_sites: Vec<usize> = (0..m).collect();
-        let mut base: Vec<S> = vec![S::ZERO; act_jobs.len()];
-        let mut cur_caps: Vec<S> = inst.capacities().to_vec();
+        // Active subproblem: every job not frozen at zero over every site,
+        // each job's support read once off the dense instance.
+        cur.clear();
+        cur.jobs.extend((0..n).filter(|&j| frozen[j].is_none()));
+        cur.sites.extend(0..m);
+        cur.base.resize(cur.jobs.len(), S::ZERO);
+        cur.caps.extend_from_slice(inst.capacities());
+        cur.start.push(0);
+        for &j in &cur.jobs {
+            for s in 0..m {
+                let d = inst.demand(j, s);
+                if S::ZERO < d {
+                    cur.support.push((s, d));
+                }
+            }
+            cur.start.push(cur.support.len());
+        }
 
         let arena = std::mem::take(scratch);
         let edges0 = arena.edges_visited();
         let reuse0 = arena.reuse_hits();
         let csr0 = arena.csr_rebuilds();
         let words0 = arena.bitset_words_cleared();
-        demands_buf.resize(act_jobs.len(), Vec::new());
-        for (i, &j) in act_jobs.iter().enumerate() {
-            let row = &mut demands_buf[i];
-            row.clear();
-            row.extend((0..m).map(|s| inst.demand(j, s)));
-        }
-        let mut net =
-            AllocationNetwork::new_with_scratch(demands_buf, &cur_caps, self.backend, arena);
+        let mut net = AllocationNetwork::new_sparse_with_scratch(
+            &cur.start,
+            &cur.support,
+            &cur.caps,
+            self.backend,
+            arena,
+        );
 
         let mut rounds: Vec<FreezeRound<S>> = Vec::new();
 
-        while !act_jobs.is_empty() {
+        while !cur.jobs.is_empty() {
             stats.rounds += 1;
-            stats.active_job_rounds += act_jobs.len();
-            stats.active_site_rounds += act_sites.len();
+            stats.active_job_rounds += cur.jobs.len();
+            stats.active_site_rounds += cur.sites.len();
 
             // Upper bound: the level at which every active job is at its
             // ceiling (u_j flat beyond its high breakpoint).
             let mut t = S::ZERO;
-            for &j in &act_jobs {
+            for &j in &cur.jobs {
                 t = max2(t, caps[j].high_breakpoint());
             }
 
@@ -540,15 +619,14 @@ impl AmfSolver {
                 let mut lo = S::ZERO;
                 let mut hi = t;
                 stats.max_flows += 1;
-                let (flow, target) = self
-                    .check_level_contracted(&mut net, &caps, &act_jobs, &base, hi, &mut stats, us);
+                let (flow, target) =
+                    self.check_level_contracted(&mut net, &caps, cur, hi, &mut stats, us);
                 if !close_rel(flow, target) {
                     for _ in 0..iterations {
                         let mid = (lo + hi) / S::from_usize(2);
                         stats.max_flows += 1;
-                        let (flow, target) = self.check_level_contracted(
-                            &mut net, &caps, &act_jobs, &base, mid, &mut stats, us,
-                        );
+                        let (flow, target) =
+                            self.check_level_contracted(&mut net, &caps, cur, mid, &mut stats, us);
                         if close_rel(flow, target) {
                             lo = mid;
                         } else {
@@ -568,8 +646,8 @@ impl AmfSolver {
             let t_star = loop {
                 stats.dinkelbach_iterations += 1;
                 stats.max_flows += 1;
-                let (flow, target) = self
-                    .check_level_contracted(&mut net, &caps, &act_jobs, &base, t, &mut stats, us);
+                let (flow, target) =
+                    self.check_level_contracted(&mut net, &caps, cur, t, &mut stats, us);
                 if close_rel(flow, target) {
                     at_t_star = true;
                     break t;
@@ -581,28 +659,29 @@ impl AmfSolver {
                 // budget, checked against the invariant in debug builds.
                 net.source_side_jobs_into(side);
                 debug_assert!(
-                    residual_budget_agrees(inst, &act_sites, &cur_caps, split),
+                    residual_budget_agrees(inst, &cur.sites, &cur.caps, split),
                     "incrementally maintained site budgets drifted from c_s - committed"
                 );
-                let mut budget =
-                    contracted_rank(inst, &act_jobs, &act_sites, &cur_caps, side, rank_buf);
+                let mut budget = contracted_rank(cur, side, rank_buf);
+                debug_assert!(
+                    bit_identical(budget, dense_contracted_rank(inst, cur, side)),
+                    "sparse contracted rank differs from the dense sum"
+                );
                 for (i, &inside) in side.iter().enumerate() {
                     if inside {
-                        budget += base[i];
+                        budget += cur.base[i];
                     }
                 }
-                members.clear();
-                members.extend(
-                    side.iter()
-                        .enumerate()
-                        .filter(|&(_, &inside)| inside)
-                        .map(|(i, _)| caps[act_jobs[i]]),
-                );
                 debug_assert!(
-                    !members.is_empty(),
+                    side.iter().any(|&inside| inside),
                     "violating set without active jobs: frozen state infeasible"
                 );
-                let t_next = invert_total(members, budget);
+                let members = side
+                    .iter()
+                    .zip(&cur.jobs)
+                    .filter(|&(&inside, _)| inside)
+                    .map(|(_, &j)| caps[j]);
+                let t_next = invert_total_with(members, budget, events);
                 if !t_next.definitely_lt(t) {
                     // No numerical progress (f64 only): accept the current
                     // level; the freeze step below still terminates.
@@ -615,9 +694,8 @@ impl AmfSolver {
                 // Re-establish the max flow at t_star (only needed when the
                 // loop exited on a lowered level without re-checking).
                 stats.max_flows += 1;
-                let (flow, target) = self.check_level_contracted(
-                    &mut net, &caps, &act_jobs, &base, t_star, &mut stats, us,
-                );
+                let (flow, target) =
+                    self.check_level_contracted(&mut net, &caps, cur, t_star, &mut stats, us);
                 debug_assert!(
                     close_rel(flow, target),
                     "level t*={t_star} must be feasible (flow {flow}, target {target})"
@@ -627,12 +705,12 @@ impl AmfSolver {
             // Freeze demand-capped jobs and bottlenecked jobs.
             net.sink_reachability_into(grow_jobs, grow_sites);
             freeze.clear();
-            freeze.resize(act_jobs.len(), false);
+            freeze.resize(cur.jobs.len(), false);
             let mut round = FreezeRound {
                 level: t_star,
                 frozen: Vec::new(),
             };
-            for (i, &j) in act_jobs.iter().enumerate() {
+            for (i, &j) in cur.jobs.iter().enumerate() {
                 let u = caps[j].at(t_star);
                 if !u.definitely_lt(caps[j].ceil) {
                     frozen[j] = Some(caps[j].ceil);
@@ -650,25 +728,25 @@ impl AmfSolver {
                 // exact arithmetic (a maximal feasible level always has a
                 // tight set).
                 debug_assert!(!S::EXACT, "exact solve failed to freeze a job");
-                for (i, &j) in act_jobs.iter().enumerate() {
+                for (i, &j) in cur.jobs.iter().enumerate() {
                     frozen[j] = Some(caps[j].at(t_star));
                     round.frozen.push((j, FreezeReason::Bottlenecked));
                     freeze[i] = true;
                 }
             }
+            let n_frozen_now = round.frozen.len();
             rounds.push(round);
 
-            let n_frozen_now = freeze.iter().filter(|&&b| b).count();
-            if n_frozen_now == act_jobs.len() {
+            if n_frozen_now == cur.jobs.len() {
                 // Last round: commit every remaining split and finish.
-                for (i, &j) in act_jobs.iter().enumerate() {
+                for (i, &j) in cur.jobs.iter().enumerate() {
                     for (k, v) in net.job_split(i) {
                         if v.is_positive() {
-                            split[j][act_sites[k]] += v;
+                            split[j][cur.sites[k]] += v;
                         }
                     }
                 }
-                act_jobs.clear();
+                cur.jobs.clear();
                 continue;
             }
 
@@ -678,12 +756,12 @@ impl AmfSolver {
             // the survivors with the warm flow preloaded.
             stats.contractions += 1;
             frozen_usage.clear();
-            frozen_usage.resize(act_sites.len(), S::ZERO);
-            for (i, &j) in act_jobs.iter().enumerate() {
+            frozen_usage.resize(cur.sites.len(), S::ZERO);
+            for (i, &j) in cur.jobs.iter().enumerate() {
                 if freeze[i] {
                     for (k, v) in net.job_split(i) {
                         if v.is_positive() {
-                            split[j][act_sites[k]] += v;
+                            split[j][cur.sites[k]] += v;
                             frozen_usage[k] += v;
                         }
                     }
@@ -691,88 +769,83 @@ impl AmfSolver {
             }
             // A site survives iff it can still absorb flow (residual path
             // to the sink) and some surviving job has demand there.
-            let keep_site: Vec<bool> = (0..act_sites.len())
-                .map(|k| {
-                    grow_sites[k]
-                        && act_jobs
-                            .iter()
-                            .enumerate()
-                            .any(|(i, &j)| !freeze[i] && inst.demand(j, act_sites[k]).is_positive())
-                })
-                .collect();
-            let mut new_act_jobs = Vec::with_capacity(act_jobs.len() - n_frozen_now);
-            let mut new_base = Vec::with_capacity(act_jobs.len() - n_frozen_now);
-            for (i, &j) in act_jobs.iter().enumerate() {
-                if freeze[i] {
-                    continue;
-                }
-                let mut b = base[i];
-                for (k, v) in net.job_split(i) {
-                    if !keep_site[k] && v.is_positive() {
-                        split[j][act_sites[k]] += v;
-                        b += v;
+            keep_site.clear();
+            keep_site.resize(cur.sites.len(), false);
+            for i in (0..cur.jobs.len()).filter(|&i| !freeze[i]) {
+                for &(k, d) in cur.support(i) {
+                    if d.is_positive() {
+                        keep_site[k] = true;
                     }
                 }
-                new_act_jobs.push(j);
-                new_base.push(b);
             }
-            let mut site_map = vec![usize::MAX; act_sites.len()];
-            let mut new_act_sites = Vec::new();
-            let mut new_caps = Vec::new();
-            for (k, &s) in act_sites.iter().enumerate() {
+            next.clear();
+            site_map.clear();
+            site_map.resize(cur.sites.len(), usize::MAX);
+            for (k, &s) in cur.sites.iter().enumerate() {
+                keep_site[k] &= grow_sites[k];
                 if keep_site[k] {
-                    site_map[k] = new_act_sites.len();
-                    new_act_sites.push(s);
-                    new_caps.push(max2(cur_caps[k] - frozen_usage[k], S::ZERO));
+                    site_map[k] = next.sites.len();
+                    next.sites.push(s);
+                    next.caps.push(max2(cur.caps[k] - frozen_usage[k], S::ZERO));
                 }
-            }
-            demands_buf.resize(new_act_jobs.len(), Vec::new());
-            for (i2, &j) in new_act_jobs.iter().enumerate() {
-                let row = &mut demands_buf[i2];
-                row.clear();
-                row.extend(new_act_sites.iter().map(|&s| inst.demand(j, s)));
             }
             // Survivors' flows at kept sites become the successor's warm
             // start: restricted to the kept subgraph they stay feasible.
-            preload.resize(new_act_jobs.len(), Vec::new());
-            let mut i2 = 0;
-            for (i, _) in act_jobs.iter().enumerate() {
+            // Their flows at dying sites commit and fold into `base`.
+            preload.clear();
+            preload_start.clear();
+            preload_start.push(0);
+            next.start.push(0);
+            for (i, &j) in cur.jobs.iter().enumerate() {
                 if freeze[i] {
                     continue;
                 }
-                let row = &mut preload[i2];
-                row.clear();
-                row.resize(new_act_sites.len(), S::ZERO);
+                let mut b = cur.base[i];
                 for (k, v) in net.job_split(i) {
-                    if keep_site[k] && v.is_positive() {
-                        row[site_map[k]] = v;
+                    if keep_site[k] {
+                        preload.push((site_map[k], v));
+                    } else if v.is_positive() {
+                        split[j][cur.sites[k]] += v;
+                        b += v;
                     }
                 }
-                i2 += 1;
+                preload_start.push(preload.len());
+                next.jobs.push(j);
+                next.base.push(b);
+                for &(k, d) in cur.support(i) {
+                    if keep_site[k] {
+                        next.support.push((site_map[k], d));
+                    }
+                }
+                next.start.push(next.support.len());
             }
             let arena = net.take_scratch();
-            net = AllocationNetwork::new_with_scratch(demands_buf, &new_caps, self.backend, arena);
+            net = AllocationNetwork::new_sparse_with_scratch(
+                &next.start,
+                &next.support,
+                &next.caps,
+                self.backend,
+                arena,
+            );
             if self.warm_start {
                 // Job caps start at zero; raise each to its preloaded total
-                // (summed in `preload_split`'s own edge order so the f64
+                // (summed in `preload_job_split`'s own edge order so the f64
                 // results are bitwise identical) before pushing the flow.
-                for (i3, row) in preload.iter().enumerate() {
+                for (i2, w) in preload_start.windows(2).enumerate() {
+                    let flows = &preload[w[0]..w[1]];
                     let mut job_total = S::ZERO;
-                    for &v in row {
+                    for &(_, v) in flows {
                         if v.is_positive() {
                             job_total += v;
                         }
                     }
                     if job_total.is_positive() {
-                        net.set_job_cap(i3, job_total);
+                        net.set_job_cap(i2, job_total);
                     }
+                    net.preload_job_split(i2, flows.iter().copied());
                 }
-                net.preload_split(preload);
             }
-            act_jobs = new_act_jobs;
-            act_sites = new_act_sites;
-            base = new_base;
-            cur_caps = new_caps;
+            std::mem::swap(cur, next);
         }
 
         *scratch = net.take_scratch();
@@ -809,23 +882,22 @@ impl AmfSolver {
     /// above the previous round's level the clamp is inert (`u >= base`);
     /// below it (bisection probes) both networks report feasible, so the
     /// bracketing logic is unaffected.
-    #[allow(clippy::too_many_arguments)]
     fn check_level_contracted<S: Scalar>(
         &self,
         net: &mut AllocationNetwork<S>,
         caps: &[LevelCap<S>],
-        act_jobs: &[usize],
-        base: &[S],
+        active: &Active<S>,
         t: S,
         stats: &mut SolveStats,
         us: &mut Vec<S>,
     ) -> (S, S) {
         us.clear();
         us.extend(
-            act_jobs
+            active
+                .jobs
                 .iter()
-                .enumerate()
-                .map(|(i, &j)| max2(caps[j].at(t) - base[i], S::ZERO)),
+                .zip(&active.base)
+                .map(|(&j, &b)| max2(caps[j].at(t) - b, S::ZERO)),
         );
         let mut target = S::ZERO;
         if self.warm_start {
@@ -881,7 +953,7 @@ impl AmfSolver {
             us,
             side,
             split,
-            members,
+            events,
             ..
         } = pool;
 
@@ -959,18 +1031,13 @@ impl AmfSolver {
                 // Infeasible: the min cut names the violating job set J.
                 net.source_side_jobs_into(side);
                 let budget = residual_budget(inst, &frozen, side);
-                members.clear();
-                members.extend(
-                    side.iter()
-                        .enumerate()
-                        .filter(|&(j, &inside)| inside && frozen[j].is_none())
-                        .map(|(j, _)| caps[j]),
-                );
+                let active_in_side = |j: &usize| side[*j] && frozen[*j].is_none();
                 debug_assert!(
-                    !members.is_empty(),
+                    (0..n).any(|j| active_in_side(&j)),
                     "violating set without active jobs: frozen state infeasible"
                 );
-                let t_next = invert_total(members, budget);
+                let members = (0..n).filter(active_in_side).map(|j| caps[j]);
+                let t_next = invert_total_with(members, budget, events);
                 if !t_next.definitely_lt(t) {
                     // No numerical progress (f64 only): accept the current
                     // level; the freeze step below still terminates.
@@ -1121,36 +1188,52 @@ fn residual_budget<S: Scalar>(inst: &Instance<S>, frozen: &[Option<S>], side: &[
     budget
 }
 
-/// Polymatroid rank of the job set `side` (indices into `act_jobs`) in the
-/// contracted network: `Σ_k min(cur_caps[k], Σ_{i∈side} d[act_jobs[i]][act_sites[k]])`.
-/// O(active jobs × active sites) — this shrinking cost replaces the legacy
-/// path's O(n·m) [`residual_budget`] recomputation per Dinkelbach step.
-fn contracted_rank<S: Scalar>(
-    inst: &Instance<S>,
-    act_jobs: &[usize],
-    act_sites: &[usize],
-    cur_caps: &[S],
-    side: &[bool],
-    demand_sums: &mut Vec<S>,
-) -> S {
-    // Accumulate per-site demand over the violating set only, walking each
-    // job's demand row once (row-major, cache-friendly). Jobs are added in
-    // ascending active index, the same per-site order a site-outer scan
-    // would use, so the f64 sums are bitwise identical to the naive form.
+/// Polymatroid rank of the job set `side` (indices into `active.jobs`) in
+/// the contracted network:
+/// `Σ_k min(caps[k], Σ_{i∈side} d[jobs[i]][sites[k]])`.
+///
+/// Walks only the demand supports of the jobs in `side`, so a Dinkelbach
+/// step costs O(their demand entries + live sites) instead of the dense
+/// O(live jobs × live sites). Each site's sum still adds its jobs in
+/// ascending active index and skips only exact zeros, so the f64 result
+/// is bitwise identical to the dense form ([`dense_contracted_rank`],
+/// checked in debug builds).
+fn contracted_rank<S: Scalar>(active: &Active<S>, side: &[bool], demand_sums: &mut Vec<S>) -> S {
     demand_sums.clear();
-    demand_sums.resize(act_sites.len(), S::ZERO);
-    for (i, &j) in act_jobs.iter().enumerate() {
-        if side[i] {
-            for (k, &s) in act_sites.iter().enumerate() {
-                demand_sums[k] += inst.demand(j, s);
+    demand_sums.resize(active.sites.len(), S::ZERO);
+    for (i, &inside) in side.iter().enumerate() {
+        if inside {
+            for &(k, d) in active.support(i) {
+                demand_sums[k] += d;
             }
         }
     }
     let mut total = S::ZERO;
-    for (k, &demand) in demand_sums.iter().enumerate() {
-        total += min2(cur_caps[k], demand);
+    for (&cap, &demand) in active.caps.iter().zip(demand_sums.iter()) {
+        total += min2(cap, demand);
     }
     total
+}
+
+/// Debug oracle for [`contracted_rank`]: the same rank read off the dense
+/// instance rows, every live site of every job in `side`.
+fn dense_contracted_rank<S: Scalar>(inst: &Instance<S>, active: &Active<S>, side: &[bool]) -> S {
+    let mut total = S::ZERO;
+    for (k, &s) in active.sites.iter().enumerate() {
+        let mut demand = S::ZERO;
+        for (i, &j) in active.jobs.iter().enumerate() {
+            if side[i] {
+                demand += inst.demand(j, s);
+            }
+        }
+        total += min2(active.caps[k], demand);
+    }
+    total
+}
+
+/// Equal values with equal `f64` bit patterns (exact types: equal values).
+fn bit_identical<S: Scalar>(a: S, b: S) -> bool {
+    a == b && a.to_f64().to_bits() == b.to_f64().to_bits()
 }
 
 /// Debug check: every incrementally maintained residual site budget equals

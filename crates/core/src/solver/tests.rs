@@ -435,3 +435,48 @@ fn saturating_merge_work_pins_counters_at_max() {
     assert_eq!(total.edges_visited, u64::MAX);
     assert_eq!(total.max_flows, 7);
 }
+
+#[test]
+fn sub_eps_demands_keep_the_sparse_rank_exact() {
+    // Demands in (0, 1e-9] get no edge in the allocation network but do
+    // enter the contracted rank's sums; in debug builds every Dinkelbach
+    // step checks the sparse rank against the dense one bit for bit.
+    let mut rng = StdRng::seed_from_u64(1009);
+    let mut rank_steps = 0;
+    let mut tiny_entries = 0;
+    for _ in 0..200 {
+        let n = rng.gen_range(2..12usize);
+        let m = rng.gen_range(1..6usize);
+        let capacities: Vec<f64> = (0..m).map(|_| rng.gen_range(1.0..10.0)).collect();
+        let demands: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                (0..m)
+                    .map(|_| match rng.gen_range(0..4u8) {
+                        0 => 0.0,
+                        1 => {
+                            tiny_entries += 1;
+                            rng.gen_range(1e-12..1e-9)
+                        }
+                        _ => rng.gen_range(0.5..8.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let inst = Instance::new(capacities, demands).unwrap();
+        let out = AmfSolver::new().solve(&inst);
+        let reference = crate::reference_aggregates(&inst, FairnessMode::Plain);
+        rank_steps += out.stats.dinkelbach_iterations - out.stats.rounds;
+        assert!(out.allocation.is_feasible(&inst));
+        for (j, &want) in reference.iter().enumerate() {
+            let got = out.allocation.aggregate(j);
+            assert!(
+                (got - want).abs() < 1e-6,
+                "job {j}: solver {got} vs reference {want}"
+            );
+        }
+    }
+    assert!(
+        tiny_entries > 0 && rank_steps > 0,
+        "the rank path never ran"
+    );
+}

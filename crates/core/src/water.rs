@@ -6,7 +6,7 @@
 //! capacity. It is also AMF specialised to one site, which the tests
 //! exploit as a cross-check on the flow-based solver.
 
-use crate::levels::{invert_total, LevelCap};
+use crate::levels::{invert_total_with, LevelCap};
 use amf_numeric::{min2, sum, Scalar};
 
 /// Max-min fair division of `capacity` among jobs with demand caps `caps`
@@ -23,9 +23,31 @@ use amf_numeric::{min2, sum, Scalar};
 /// # Panics
 /// Panics if lengths differ or a weight is non-positive.
 pub fn water_fill_weighted<S: Scalar>(capacity: S, caps: &[S], weights: &[S]) -> Vec<S> {
+    let mut out = vec![S::ZERO; caps.len()];
+    water_fill_weighted_into(capacity, caps, weights, &mut out, &mut Vec::new());
+    out
+}
+
+/// [`water_fill_weighted`] writing into `out` (one entry per cap) and
+/// sweeping the level inversion in the caller's `events` buffer (see
+/// [`invert_total_with`]), so callers filling many small pools allocate
+/// nothing per fill. The result is bit-identical to
+/// [`water_fill_weighted`].
+///
+/// # Panics
+/// Panics if `caps`, `weights` and `out` differ in length or a weight is
+/// non-positive.
+pub fn water_fill_weighted_into<S: Scalar>(
+    capacity: S,
+    caps: &[S],
+    weights: &[S],
+    out: &mut [S],
+    events: &mut Vec<(S, S)>,
+) {
     assert_eq!(caps.len(), weights.len(), "water_fill: length mismatch");
+    assert_eq!(caps.len(), out.len(), "water_fill: output length mismatch");
     if caps.is_empty() {
-        return Vec::new();
+        return;
     }
     for &w in weights {
         assert!(w.is_positive(), "water_fill: non-positive weight");
@@ -33,19 +55,18 @@ pub fn water_fill_weighted<S: Scalar>(capacity: S, caps: &[S], weights: &[S]) ->
     let total_demand = sum(caps.iter().copied());
     if !total_demand.definitely_gt(capacity) {
         // No contention: everyone gets their full demand.
-        return caps.to_vec();
+        out.copy_from_slice(caps);
+        return;
     }
-    let level_caps: Vec<LevelCap<S>> = caps
-        .iter()
-        .zip(weights)
-        .map(|(&c, &w)| LevelCap::new(w, S::ZERO, c))
-        .collect();
-    let t = invert_total(&level_caps, capacity);
-    level_caps
-        .iter()
-        .zip(caps)
-        .map(|(lc, &c)| min2(lc.at(t), c))
-        .collect()
+    let level = |c: S, w: S| LevelCap::new(w, S::ZERO, c);
+    let t = invert_total_with(
+        caps.iter().zip(weights).map(|(&c, &w)| level(c, w)),
+        capacity,
+        events,
+    );
+    for ((x, &c), &w) in out.iter_mut().zip(caps).zip(weights) {
+        *x = min2(level(c, w).at(t), c);
+    }
 }
 
 /// Unweighted capped water-filling.
@@ -110,6 +131,21 @@ mod tests {
         assert_eq!(water_fill::<f64>(5.0, &[]), Vec::<f64>::new());
         assert_eq!(water_fill(0.0, &[3.0, 4.0]), vec![0.0, 0.0]);
         assert_eq!(water_fill(5.0, &[0.0, 0.0]), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn in_place_fill_reuses_buffers_bit_exactly() {
+        let caps = [3.0, 0.5, 7.25, 2.0];
+        let weights = [1.0, 2.0, 0.3, 1e-6];
+        let mut out = [9.0; 4];
+        let mut events = vec![(1.0, 1.0); 3];
+        for capacity in [0.0, 1.0, 4.4, 12.75, 20.0] {
+            let fresh = water_fill_weighted(capacity, &caps, &weights);
+            water_fill_weighted_into(capacity, &caps, &weights, &mut out, &mut events);
+            for (a, b) in fresh.iter().zip(&out) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 
     proptest! {

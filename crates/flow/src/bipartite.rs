@@ -107,11 +107,58 @@ impl<S: Scalar> AllocationNetwork<S> {
         backend: FlowBackend,
         scratch: FlowScratch<S>,
     ) -> Self {
-        let n_jobs = demands.len();
-        let n_sites = capacities.len();
         for row in demands {
-            assert_eq!(row.len(), n_sites, "demand row length != site count");
+            assert_eq!(
+                row.len(),
+                capacities.len(),
+                "demand row length != site count"
+            );
         }
+        let rows = demands.iter().map(|row| row.iter().copied().enumerate());
+        Self::build(rows, capacities, backend, scratch)
+    }
+
+    /// [`new_with_scratch`](Self::new_with_scratch) from sparse demand
+    /// rows: job `j`'s demands are `entries[offsets[j]..offsets[j + 1]]`,
+    /// as `(site, demand)` pairs in ascending site order, and every site
+    /// not listed has zero demand. Builds exactly the network the
+    /// equivalent dense rows give (the same edges in the same order), in
+    /// time linear in the listed entries rather than in jobs × sites.
+    ///
+    /// # Panics
+    /// Panics on negative demands/capacities, on a site index out of range,
+    /// or if `offsets` is empty or not ascending.
+    pub fn new_sparse_with_scratch(
+        offsets: &[usize],
+        entries: &[(usize, S)],
+        capacities: &[S],
+        backend: FlowBackend,
+        scratch: FlowScratch<S>,
+    ) -> Self {
+        assert!(!offsets.is_empty(), "sparse rows need offsets[0]");
+        let n_sites = capacities.len();
+        let rows = offsets.windows(2).map(|w| {
+            entries[w[0]..w[1]].iter().map(move |&(s, d)| {
+                assert!(s < n_sites, "demand site {s} out of range");
+                (s, d)
+            })
+        });
+        Self::build(rows, capacities, backend, scratch)
+    }
+
+    /// Shared constructor body: one iterator of `(site, demand)` pairs per
+    /// job, sites ascending; an edge is added for every positive demand.
+    fn build<R>(
+        rows: impl ExactSizeIterator<Item = R>,
+        capacities: &[S],
+        backend: FlowBackend,
+        scratch: FlowScratch<S>,
+    ) -> Self
+    where
+        R: Iterator<Item = (usize, S)>,
+    {
+        let n_jobs = rows.len();
+        let n_sites = capacities.len();
         let mut scratch = scratch;
         // Recycle a retired network's edge arena and side-structure
         // vectors when the scratch carries them (the solver's contraction
@@ -139,10 +186,10 @@ impl<S: Scalar> AllocationNetwork<S> {
         demand_edges.truncate(n_jobs);
         demand_edges.resize(n_jobs, Vec::new());
         let mut n_demand_edges = 0;
-        for (j, row) in demands.iter().enumerate() {
+        for (j, row) in rows.enumerate() {
             let edges = &mut demand_edges[j];
             edges.clear();
-            for (s, &d) in row.iter().enumerate() {
+            for (s, d) in row {
                 assert!(!(d < S::ZERO), "negative demand d[{j}][{s}]");
                 if d.is_positive() {
                     edges.push((s, net.add_edge(job_node(j), site_node(s), d)));
@@ -347,29 +394,47 @@ impl<S: Scalar> AllocationNetwork<S> {
     /// Panics if `x` violates a demand, source-cap, or site capacity.
     pub fn preload_split(&mut self, x: &[Vec<S>]) {
         assert_eq!(x.len(), self.n_jobs, "preload_split: row count");
-        for j in 0..self.n_jobs {
-            let mut job_total = S::ZERO;
-            for &(s, e) in &self.demand_edges[j] {
-                let v = x[j][s];
-                if v.is_positive() {
-                    self.net.add_flow(e, v);
-                    job_total += v;
-                }
-            }
-            if job_total.is_positive() {
-                self.net.add_flow(self.job_cap_edges[j], job_total);
-            }
+        for (j, row) in x.iter().enumerate() {
+            self.preload_job_split(j, row.iter().copied().enumerate());
         }
-        for s in 0..self.n_sites {
-            let mut site_total = S::ZERO;
-            for x_row in x.iter() {
-                if x_row[s].is_positive() {
-                    site_total += x_row[s];
-                }
+    }
+
+    /// Preload job `j`'s share of a known-feasible split on a network with
+    /// no flow through its edges yet: `flows` yields `(site, amount)` pairs
+    /// in ascending site order, and every positive amount is pushed along
+    /// source→job→site→sink. Sites without a demand edge may be listed as
+    /// long as their amount is not positive. Jobs preloaded in ascending
+    /// order add onto each site edge in job order, so a sparse caller gets
+    /// the bits [`preload_split`](Self::preload_split) gives the equivalent
+    /// dense matrix, in time linear in the listed entries.
+    ///
+    /// # Panics
+    /// Panics if a positive amount has no demand edge, the sites are not
+    /// ascending, or an amount violates a demand, source-cap, or site
+    /// capacity.
+    pub fn preload_job_split(&mut self, j: usize, flows: impl IntoIterator<Item = (usize, S)>) {
+        let edges = &self.demand_edges[j];
+        let mut next = 0;
+        let mut job_total = S::ZERO;
+        for (site, v) in flows {
+            if !v.is_positive() {
+                continue;
             }
-            if site_total.is_positive() {
-                self.net.add_flow(self.site_cap_edges[s], site_total);
+            while next < edges.len() && edges[next].0 < site {
+                next += 1;
             }
+            assert!(
+                next < edges.len() && edges[next].0 == site,
+                "preload: job {j} has no demand edge at site {site}"
+            );
+            let e = edges[next].1;
+            next += 1;
+            self.net.add_flow(e, v);
+            self.net.add_flow(self.site_cap_edges[site], v);
+            job_total += v;
+        }
+        if job_total.is_positive() {
+            self.net.add_flow(self.job_cap_edges[j], job_total);
         }
     }
 
@@ -1058,5 +1123,67 @@ mod tests {
         small.run_max_flow();
         assert!(small.scratch().edges_visited() > visited);
         assert!(small.scratch().reuse_hits() >= 1);
+    }
+
+    #[test]
+    fn sparse_build_and_job_preload_match_dense() {
+        // Demands in (0, 1e-9] are listed in the sparse rows but get no
+        // edge, exactly as in the dense build.
+        let demands = vec![
+            vec![3.0, 5e-10, 2.0, 0.0],
+            vec![0.0, 0.0, 0.0, 0.0],
+            vec![1e-10, 4.0, 0.0, 6.5],
+        ];
+        let caps = [2.5, 3.0, 1.0, 4.0];
+        let x = vec![
+            vec![1.5, 5e-10, 1.0, 0.0],
+            vec![0.0; 4],
+            vec![1e-10, 2.0, 0.0, 3.25],
+        ];
+        let mut offsets = vec![0];
+        let mut entries = Vec::new();
+        for row in &demands {
+            entries.extend(row.iter().copied().enumerate().filter(|&(_, d)| d > 0.0));
+            offsets.push(entries.len());
+        }
+        let mut dense = AllocationNetwork::new(&demands, &caps);
+        let mut sparse = AllocationNetwork::new_sparse_with_scratch(
+            &offsets,
+            &entries,
+            &caps,
+            FlowBackend::Dinic,
+            FlowScratch::new(),
+        );
+        assert_eq!(sparse.demand_edge_count(), dense.demand_edge_count());
+        for net in [&mut dense, &mut sparse] {
+            for j in 0..3 {
+                net.set_job_cap(j, 10.0);
+            }
+        }
+        dense.preload_split(&x);
+        for (j, row) in x.iter().enumerate() {
+            let listed = offsets[j]..offsets[j + 1];
+            sparse.preload_job_split(j, entries[listed].iter().map(|&(s, _)| (s, row[s])));
+        }
+        let (a, b) = (dense.network(), sparse.network());
+        assert_eq!(a.edge_count(), b.edge_count());
+        for e in 0..a.edge_count() as EdgeId {
+            assert_eq!(a.head(e), b.head(e));
+            assert_eq!(a.capacity(e).to_bits(), b.capacity(e).to_bits());
+            assert_eq!(a.flow(e).to_bits(), b.flow(e).to_bits());
+        }
+        assert_eq!(
+            dense.run_max_flow().to_bits(),
+            sparse.run_max_flow().to_bits()
+        );
+        assert_eq!(dense.split_matrix(), sparse.split_matrix());
+    }
+
+    #[test]
+    #[should_panic(expected = "no demand edge")]
+    fn preload_without_demand_edge_panics() {
+        let mut net = AllocationNetwork::new(&[vec![1e-10, 1.0]], &[1.0, 1.0]);
+        net.set_job_cap(0, 1.0);
+        net.preload_job_split(0, [(0, 0.5)]);
     }
 }

@@ -22,8 +22,8 @@
 //!    `A_j`, which is possible because the aggregates came from a feasible
 //!    allocation.
 
-use amf_core::water_fill_weighted;
-use amf_flow::AllocationNetwork;
+use amf_core::water_fill_weighted_into;
+use amf_flow::{AllocationNetwork, FlowBackend, FlowScratch};
 
 /// How the engine splits aggregate allocations across sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,6 +52,15 @@ pub enum SplitStrategy {
 /// Returns a feasible split whose row sums equal `aggregates` (up to f64
 /// tolerance).
 ///
+/// Each job's rate can only be nonzero where its demand is, so the fill
+/// and repair steps run over each job's *demand support* (the sites with
+/// `d > 0`, read once per call) with buffers shared by every job, and
+/// never touch the rest of the `n × m` matrix. Only exact zeros are
+/// skipped, so every entry has the bits a dense sweep over all sites
+/// would give (`tests/split_equivalence.rs` holds that dense form as an
+/// oracle). Demands in `(0, 1e-9]` belong to the support even though the
+/// allocation network of step 3 has no edge for them.
+///
 /// # Panics
 /// Panics if the aggregates are infeasible for `(capacities, demands)` —
 /// they must come from a feasible allocation.
@@ -67,75 +76,90 @@ pub fn balanced_progress_split(
     assert_eq!(aggregates.len(), n, "aggregate count mismatch");
     assert_eq!(remaining.len(), n, "remaining-work count mismatch");
 
+    // Job j's support entries are `start[j]..start[j + 1]`: the site and
+    // its demand cap, the fill weight, and the rate `x` (zero off
+    // support). Finished portions (remaining work 0) get a negligible
+    // positive weight so stray demand can still absorb allocation if the
+    // work-bearing sites cannot take it all.
+    let mut start = Vec::with_capacity(n + 1);
+    let mut support = Vec::new();
+    let mut weight = Vec::new();
+    start.push(0);
+    for (j, (row, work)) in demands.iter().zip(remaining).enumerate() {
+        assert_eq!(row.len(), m, "demand row length != site count");
+        for (s, &d) in row.iter().enumerate() {
+            assert!(!(d < 0.0), "negative demand d[{j}][{s}]");
+            if d > 0.0 {
+                support.push((s, d));
+                weight.push(if work[s] > 0.0 { work[s] } else { 1e-6 });
+            }
+        }
+        start.push(support.len());
+    }
+    let mut x = vec![0.0; support.len()];
+    let mut fill = Fill::default();
+
     // Step 1: per-job ideal split — weighted water-fill of A_j over sites,
     // weight = remaining work (so x ∝ r until a demand cap binds).
-    let mut x: Vec<Vec<f64>> = vec![vec![0.0; m]; n];
-    for j in 0..n {
-        fill_job(&mut x[j], aggregates[j], &demands[j], &remaining[j]);
+    for (j, &a) in aggregates.iter().enumerate() {
+        let e = start[j]..start[j + 1];
+        fill.gather(
+            support[e.clone()].iter().map(|&(_, d)| d),
+            &weight[e.clone()],
+        );
+        fill.add(a, &mut x[e]);
     }
 
     // Step 2: repair rounds — scale over-subscribed sites, re-fill deficits.
+    let mut load = vec![0.0; m];
+    let mut scale = vec![1.0; m];
     for _ in 0..repair_rounds {
-        let mut oversubscribed = false;
-        for s in 0..m {
-            let load: f64 = x.iter().map(|row| row[s]).sum();
-            if load > capacities[s] && load > 0.0 {
-                let scale = capacities[s] / load;
-                for row in x.iter_mut() {
-                    row[s] *= scale;
-                }
-                oversubscribed = true;
-            }
-        }
-        if !oversubscribed {
+        if !scale_oversubscribed(capacities, &support, &mut x, &mut load, &mut scale) {
             break;
         }
         // Re-fill each job's deficit onto residual caps, still weighted by
         // remaining work.
-        for j in 0..n {
-            let got: f64 = x[j].iter().sum();
-            let deficit = aggregates[j] - got;
+        for (j, &a) in aggregates.iter().enumerate() {
+            let e = start[j]..start[j + 1];
+            let got: f64 = x[e.clone()].iter().sum();
+            let deficit = a - got;
             if deficit > 1e-12 {
-                let residual_caps: Vec<f64> =
-                    (0..m).map(|s| (demands[j][s] - x[j][s]).max(0.0)).collect();
-                let mut extra = vec![0.0; m];
-                fill_job(
-                    &mut extra,
-                    deficit.min(sum_of(&residual_caps)),
-                    &residual_caps,
-                    &remaining[j],
-                );
-                for s in 0..m {
-                    x[j][s] += extra[s];
-                }
+                let residual = support[e.clone()]
+                    .iter()
+                    .zip(&x[e.clone()])
+                    .map(|(&(_, d), &v)| (d - v).max(0.0));
+                let headroom = fill.gather(residual, &weight[e.clone()]);
+                fill.add(deficit.min(headroom), &mut x[e]);
             }
         }
     }
 
     // Make strictly feasible before preloading (repair may have re-filled
     // past a capacity on the last round).
-    for s in 0..m {
-        let load: f64 = x.iter().map(|row| row[s]).sum();
-        if load > capacities[s] && load > 0.0 {
-            let scale = capacities[s] / load;
-            for row in x.iter_mut() {
-                row[s] *= scale;
-            }
-        }
-    }
+    scale_oversubscribed(capacities, &support, &mut x, &mut load, &mut scale);
     // Clamp rounding residue above demand caps.
-    for j in 0..n {
-        for s in 0..m {
-            x[j][s] = x[j][s].min(demands[j][s]);
-        }
+    for (v, &(_, d)) in x.iter_mut().zip(&support) {
+        *v = v.min(d);
     }
 
-    // Step 3: augment to restore the aggregates exactly.
-    let mut net = AllocationNetwork::new(demands, capacities);
+    // Step 3: augment to restore the aggregates exactly. The network keeps
+    // only the demands above the `1e-9` tolerance; the rates the support
+    // holds beyond them are at most that small and are not preloaded.
+    let mut net = AllocationNetwork::new_sparse_with_scratch(
+        &start,
+        &support,
+        capacities,
+        FlowBackend::default(),
+        FlowScratch::new(),
+    );
     for (j, &a) in aggregates.iter().enumerate() {
         net.set_job_cap(j, a);
     }
-    net.preload_split(&x);
+    for j in 0..n {
+        let e = start[j]..start[j + 1];
+        let rates = support[e.clone()].iter().zip(&x[e]);
+        net.preload_job_split(j, rates.map(|(&(s, _), &v)| (s, v)));
+    }
     let total = net.run_max_flow();
     let want: f64 = aggregates.iter().sum();
     assert!(
@@ -145,35 +169,87 @@ pub fn balanced_progress_split(
     net.split_matrix()
 }
 
-/// Weighted water-fill of `amount` over one job's sites: rate ∝ weight
-/// until a cap binds. Sites with zero weight and zero cap get nothing.
-fn fill_job(out: &mut [f64], amount: f64, caps: &[f64], weights: &[f64]) {
-    if amount <= 0.0 {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        return;
+/// Scale every over-subscribed site's rates down to its capacity. Site
+/// loads add the jobs in ascending order, as a dense column sum would.
+/// Returns whether any site was over-subscribed.
+fn scale_oversubscribed(
+    capacities: &[f64],
+    support: &[(usize, f64)],
+    x: &mut [f64],
+    load: &mut [f64],
+    scale: &mut [f64],
+) -> bool {
+    load.fill(0.0);
+    for (&(s, _), &v) in support.iter().zip(x.iter()) {
+        load[s] += v;
     }
-    // Indices with usable capacity. Weights of finished portions are 0;
-    // give them a negligible positive weight so stray demand can still
-    // absorb allocation if the work-bearing sites cannot take it all.
-    let idx: Vec<usize> = (0..caps.len()).filter(|&s| caps[s] > 0.0).collect();
-    if idx.is_empty() {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        return;
+    let mut oversubscribed = false;
+    for ((sc, &l), &c) in scale.iter_mut().zip(load.iter()).zip(capacities) {
+        *sc = 1.0;
+        if l > c && l > 0.0 {
+            *sc = c / l;
+            oversubscribed = true;
+        }
     }
-    let caps_v: Vec<f64> = idx.iter().map(|&s| caps[s]).collect();
-    let weights_v: Vec<f64> = idx
-        .iter()
-        .map(|&s| if weights[s] > 0.0 { weights[s] } else { 1e-6 })
-        .collect();
-    let filled = water_fill_weighted(amount, &caps_v, &weights_v);
-    out.iter_mut().for_each(|v| *v = 0.0);
-    for (k, &s) in idx.iter().enumerate() {
-        out[s] = filled[k];
+    if oversubscribed {
+        for (&(s, _), v) in support.iter().zip(x.iter_mut()) {
+            *v *= scale[s];
+        }
     }
+    oversubscribed
 }
 
-fn sum_of(v: &[f64]) -> f64 {
-    v.iter().sum()
+/// One job's weighted water-fill over the entries of its support with
+/// positive cap, in buffers reused by every fill of a call: rate ∝ weight
+/// until a cap binds; entries with zero cap get nothing.
+#[derive(Default)]
+struct Fill {
+    /// Support positions (within the job) that take part in the fill.
+    idx: Vec<usize>,
+    caps: Vec<f64>,
+    weights: Vec<f64>,
+    filled: Vec<f64>,
+    events: Vec<(f64, f64)>,
+}
+
+impl Fill {
+    /// Collect the job's entries with a positive cap and return their cap
+    /// total (summed in site order; the zeros skipped never change it).
+    fn gather(&mut self, caps: impl Iterator<Item = f64>, weights: &[f64]) -> f64 {
+        self.idx.clear();
+        self.caps.clear();
+        self.weights.clear();
+        let mut total = 0.0;
+        for (k, (c, &w)) in caps.zip(weights).enumerate() {
+            if c > 0.0 {
+                self.idx.push(k);
+                self.caps.push(c);
+                self.weights.push(w);
+                total += c;
+            }
+        }
+        total
+    }
+
+    /// Water-fill `amount` over the gathered entries and add the rates onto
+    /// the job's entries of `x`. A non-positive amount fills nothing.
+    fn add(&mut self, amount: f64, x: &mut [f64]) {
+        if amount <= 0.0 {
+            return;
+        }
+        self.filled.clear();
+        self.filled.resize(self.idx.len(), 0.0);
+        water_fill_weighted_into(
+            amount,
+            &self.caps,
+            &self.weights,
+            &mut self.filled,
+            &mut self.events,
+        );
+        for (&k, &v) in self.idx.iter().zip(&self.filled) {
+            x[k] += v;
+        }
+    }
 }
 
 #[cfg(test)]
