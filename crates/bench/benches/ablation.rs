@@ -61,52 +61,10 @@ fn bench_fluid_vs_slots(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bottleneck_strategy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bottleneck_strategy");
-    group.sample_size(10);
-    let inst = skewed_workload(1.2, 100, 20, 5, 7).instance();
-    group.bench_function("dinkelbach", |b| {
-        b.iter(|| black_box(AmfSolver::new().solve(black_box(&inst))));
-    });
-    for iters in [8usize, 16, 24] {
-        group.bench_function(format!("bisection_{iters}"), |b| {
-            b.iter(|| {
-                black_box(
-                    AmfSolver::new()
-                        .with_bisection(iters)
-                        .solve(black_box(&inst)),
-                )
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_warm_start(c: &mut Criterion) {
-    let mut group = c.benchmark_group("solver_warm_start");
-    group.sample_size(10);
-    let inst = skewed_workload(1.2, 100, 20, 5, 7).instance();
-    group.bench_function("warm", |b| {
-        b.iter(|| black_box(AmfSolver::new().solve(black_box(&inst))));
-    });
-    group.bench_function("cold", |b| {
-        b.iter(|| {
-            black_box(
-                AmfSolver::new()
-                    .without_warm_start()
-                    .solve(black_box(&inst)),
-            )
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_repair_rounds,
     bench_exact_vs_f64,
-    bench_fluid_vs_slots,
-    bench_warm_start,
-    bench_bottleneck_strategy
+    bench_fluid_vs_slots
 );
 criterion_main!(benches);

@@ -1,7 +1,6 @@
-//! Dinic vs FIFO push–relabel on allocation-shaped networks (ablation:
-//! DESIGN.md calls out the max-flow algorithm as a design choice).
+//! Dinic max-flow kernel timings on allocation-shaped networks.
 
-use amf_flow::{dinic, push_relabel, FlowNetwork};
+use amf_flow::{dinic, FlowNetwork};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,17 +41,6 @@ fn bench_max_flow(c: &mut Criterion) {
                 b.iter_batched(
                     || proto.clone(),
                     |mut g| black_box(dinic::max_flow(&mut g, 0, 1)),
-                    criterion::BatchSize::SmallInput,
-                );
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("push_relabel", format!("{jobs}x{sites}")),
-            &proto,
-            |b, proto| {
-                b.iter_batched(
-                    || proto.clone(),
-                    |mut g| black_box(push_relabel::max_flow(&mut g, 0, 1)),
                     criterion::BatchSize::SmallInput,
                 );
             },

@@ -1,30 +1,34 @@
 //! Pinned solver benchmark — `cargo xtask bench`.
 //!
-//! Measures the shrinking-network solver core against the legacy
-//! full-network path on a fixed instance sweep and writes a machine-readable
-//! report (schema `amf-bench-solver/v3`) with five sections:
+//! Measures the solver (contracted network, Dinkelbach descent, warm
+//! starts, Dinic) on a fixed instance sweep and writes a machine-readable
+//! report (schema `amf-bench-solver/v4`) with five sections:
 //!
-//! * `sweep` — per-point wall time (min of reps after a warm-up) for the
-//!   four solver arms, with work counters (v3 adds the CSR rebuild and
-//!   bitset-clearing counters) and an audit-agreement verdict;
-//! * `e8_400x20` — the headline point: contracted-with-arenas vs the legacy
-//!   path on the E8 400-job / 20-site instance, plus the speedup against
-//!   the pinned pre-optimization baseline;
+//! * `sweep` — per-point wall time (min of reps after a warm-up) of the
+//!   `contracted-dinic` arm, with work counters (rounds, max flows, edges
+//!   visited, CSR rebuilds, bitset words cleared) and an audit verdict;
+//! * `e8_400x20` — the headline point: the solver on the E8 400-job /
+//!   20-site instance, plus its speedup against two pinned baselines, the
+//!   pre-optimization seed solver and the deleted full-network path;
 //! * `batch` — `solve_batch_with` thread-scaling sweep;
-//! * `kernels` — raw max-flow kernel micro-timings (Dinic vs push–relabel);
-//!   v3 adds per-run edges visited and the derived ns/edge figure, the
-//!   layout-sensitive number the CSR arena is meant to move;
+//! * `kernels` — raw Dinic max-flow micro-timing, with per-run edges
+//!   visited and the derived ns/edge figure, the layout-sensitive number
+//!   the CSR arena is meant to move;
 //! * `event_loop` — online simulation throughput on a staggered-arrival
 //!   400×20 trace with capacity events: the delta-driven incremental
 //!   session vs per-event from-scratch solves, with replay counters and a
-//!   report-agreement verdict (v2 addition; v1 readers see a superset).
+//!   report-agreement verdict.
+//!
+//! v4 drops the arms and kernel row of the deleted alternatives
+//! (full-network path, push–relabel and `Auto` backends) and replaces the
+//! timed `legacy_ms` headline with the pinned `legacy_full_baseline_ms`.
 //!
 //! Flags: `--smoke` (1 rep, small batch — CI wiring check), `--out PATH`
 //! (default `BENCH_solver.json` in the current directory).
 
 use amf_audit::audit;
 use amf_bench::experiments::skewed_workload;
-use amf_core::{AmfSolver, FairnessMode, FlowBackend, Instance, SolveOutput, SolverPool};
+use amf_core::{AmfSolver, FairnessMode, Instance, SolveOutput, SolverPool};
 use amf_flow::AllocationNetwork;
 use amf_sim::{
     simulate_incremental_with_stats, simulate_with_capacity_events, AmfIncremental, CapacityEvent,
@@ -38,6 +42,11 @@ use std::time::Instant;
 /// measured on this machine immediately before the shrinking-network work
 /// landed. The headline speedup is reported against this pin.
 const SEED_BASELINE_400X20_MS: f64 = 16.7257;
+
+/// Wall time of the legacy full-network path (every round's max flows on
+/// all n×m nodes; min of 5 reps) on the same point, as last recorded in
+/// `BENCH_solver.json` before that path was deleted.
+const LEGACY_FULL_400X20_MS: f64 = 12.95173;
 
 #[derive(Serialize)]
 struct Report {
@@ -63,8 +72,8 @@ struct SweepPoint {
     jobs: usize,
     sites: usize,
     arms: Vec<ArmResult>,
-    /// Every arm audit-certified AMF and all aggregates agree within 1e-6.
-    audit_agreement: bool,
+    /// The allocation earned the `amf-audit` AMF certificate.
+    audit_certified: bool,
 }
 
 #[derive(Serialize)]
@@ -86,7 +95,7 @@ struct Headline {
     jobs: usize,
     sites: usize,
     seed_baseline_ms: f64,
-    legacy_ms: f64,
+    legacy_full_baseline_ms: f64,
     contracted_ms: f64,
     speedup_vs_seed_baseline: f64,
     speedup_vs_legacy: f64,
@@ -149,22 +158,6 @@ struct KernelTiming {
     bitset_words_cleared: u64,
 }
 
-/// The four solver configurations under measurement.
-fn arms() -> [(&'static str, AmfSolver); 4] {
-    [
-        ("legacy-full-dinic", AmfSolver::new().without_contraction()),
-        ("contracted-dinic", AmfSolver::new()),
-        (
-            "contracted-push-relabel",
-            AmfSolver::new().with_flow_backend(FlowBackend::PushRelabel),
-        ),
-        (
-            "contracted-auto",
-            AmfSolver::new().with_flow_backend(FlowBackend::Auto),
-        ),
-    ]
-}
-
 /// The E8 instance family: Zipf-skewed placement, contention held at 2×.
 fn e8_instance(n: usize, m: usize) -> Instance<f64> {
     let mut workload = skewed_workload(1.2, n, m, m.min(5), 99);
@@ -187,12 +180,12 @@ fn time_solver(solver: &AmfSolver, inst: &Instance<f64>, reps: usize) -> (f64, S
 
 fn sweep_point(n: usize, m: usize, reps: usize) -> SweepPoint {
     let inst = e8_instance(n, m);
-    let mut results = Vec::new();
-    let mut outputs: Vec<SolveOutput<f64>> = Vec::new();
-    for (name, solver) in arms() {
-        let (ms, out) = time_solver(&solver, &inst, reps);
-        results.push(ArmResult {
-            name,
+    let (ms, out) = time_solver(&AmfSolver::new(), &inst, reps);
+    SweepPoint {
+        jobs: n,
+        sites: m,
+        arms: vec![ArmResult {
+            name: "contracted-dinic",
             ms,
             rounds: out.stats.rounds,
             max_flows: out.stats.max_flows,
@@ -202,42 +195,22 @@ fn sweep_point(n: usize, m: usize, reps: usize) -> SweepPoint {
             scratch_reuse_hits: out.stats.scratch_reuse_hits,
             csr_rebuilds: out.stats.csr_rebuilds,
             bitset_words_cleared: out.stats.bitset_words_cleared,
-        });
-        outputs.push(out);
-    }
-    let mut agreement = true;
-    for out in &outputs {
-        if !audit(&inst, &out.allocation, FairnessMode::Plain).is_certified_amf() {
-            agreement = false;
-        }
-        for j in 0..inst.n_jobs() {
-            let a = out.allocation.aggregate(j);
-            let b = outputs[0].allocation.aggregate(j);
-            if (a - b).abs() > 1e-6 * (1.0 + a.abs().max(b.abs())) {
-                agreement = false;
-            }
-        }
-    }
-    SweepPoint {
-        jobs: n,
-        sites: m,
-        arms: results,
-        audit_agreement: agreement,
+        }],
+        audit_certified: audit(&inst, &out.allocation, FairnessMode::Plain).is_certified_amf(),
     }
 }
 
 fn headline(reps: usize) -> Headline {
     let inst = e8_instance(400, 20);
-    let (legacy_ms, _) = time_solver(&AmfSolver::new().without_contraction(), &inst, reps);
     let (contracted_ms, _) = time_solver(&AmfSolver::new(), &inst, reps);
     Headline {
         jobs: 400,
         sites: 20,
         seed_baseline_ms: SEED_BASELINE_400X20_MS,
-        legacy_ms,
+        legacy_full_baseline_ms: LEGACY_FULL_400X20_MS,
         contracted_ms,
         speedup_vs_seed_baseline: SEED_BASELINE_400X20_MS / contracted_ms,
-        speedup_vs_legacy: legacy_ms / contracted_ms,
+        speedup_vs_legacy: LEGACY_FULL_400X20_MS / contracted_ms,
     }
 }
 
@@ -282,50 +255,42 @@ fn batch_section(smoke: bool, reps: usize) -> BatchSection {
 fn kernel_timings(smoke: bool, reps: usize) -> Vec<KernelTiming> {
     let (n, m) = if smoke { (60, 10) } else { (400, 20) };
     let inst = e8_instance(n, m);
-    let mut timings = Vec::new();
-    for (kernel, backend) in [
-        ("dinic", FlowBackend::Dinic),
-        ("push_relabel", FlowBackend::PushRelabel),
-    ] {
-        let mut net =
-            AllocationNetwork::new(inst.demands(), inst.capacities()).with_backend(backend);
-        for j in 0..inst.n_jobs() {
-            let cap: f64 = inst.demands()[j].iter().sum();
-            net.set_job_cap(j, cap);
-        }
-        // Warm-up sizes the scratch arena; the timed reps run allocation-free.
-        net.reset_flow();
-        let mut total_flow = net.run_max_flow();
-        let edges0 = net.scratch().edges_visited();
-        let rebuilds0 = net.scratch().csr_rebuilds();
-        let words0 = net.scratch().bitset_words_cleared();
-        let mut best_ms = f64::INFINITY;
-        for _ in 0..reps {
-            net.reset_flow();
-            let t0 = Instant::now();
-            total_flow = net.run_max_flow();
-            best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        // Each rep replays the identical cold run, so per-run work is the
-        // accumulated delta divided by the rep count.
-        let edges_visited = (net.scratch().edges_visited() - edges0) / reps as u64;
-        timings.push(KernelTiming {
-            kernel,
-            jobs: n,
-            sites: m,
-            ms: best_ms,
-            total_flow,
-            edges_visited,
-            ns_per_edge: if edges_visited == 0 {
-                0.0
-            } else {
-                best_ms * 1e6 / edges_visited as f64
-            },
-            csr_rebuilds: net.scratch().csr_rebuilds() - rebuilds0,
-            bitset_words_cleared: (net.scratch().bitset_words_cleared() - words0) / reps as u64,
-        });
+    let mut net = AllocationNetwork::new(inst.demands(), inst.capacities());
+    for j in 0..inst.n_jobs() {
+        let cap: f64 = inst.demands()[j].iter().sum();
+        net.set_job_cap(j, cap);
     }
-    timings
+    // Warm-up sizes the scratch arena; the timed reps run allocation-free.
+    net.reset_flow();
+    let mut total_flow = net.run_max_flow();
+    let edges0 = net.scratch().edges_visited();
+    let rebuilds0 = net.scratch().csr_rebuilds();
+    let words0 = net.scratch().bitset_words_cleared();
+    let mut best_ms = f64::INFINITY;
+    for _ in 0..reps {
+        net.reset_flow();
+        let t0 = Instant::now();
+        total_flow = net.run_max_flow();
+        best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    // Each rep replays the identical cold run, so per-run work is the
+    // accumulated delta divided by the rep count.
+    let edges_visited = (net.scratch().edges_visited() - edges0) / reps as u64;
+    vec![KernelTiming {
+        kernel: "dinic",
+        jobs: n,
+        sites: m,
+        ms: best_ms,
+        total_flow,
+        edges_visited,
+        ns_per_edge: if edges_visited == 0 {
+            0.0
+        } else {
+            best_ms * 1e6 / edges_visited as f64
+        },
+        csr_rebuilds: net.scratch().csr_rebuilds() - rebuilds0,
+        bitset_words_cleared: (net.scratch().bitset_words_cleared() - words0) / reps as u64,
+    }]
 }
 
 /// Whether two simulation reports describe the same trajectory: equal
@@ -463,7 +428,7 @@ fn main() {
     let event_loop = event_loop_section(smoke, reps);
 
     let report = Report {
-        schema: "amf-bench-solver/v3",
+        schema: "amf-bench-solver/v4",
         smoke,
         reps,
         hardware: Hardware {
@@ -482,11 +447,11 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out_path, json + "\n").expect("write benchmark report");
     println!(
-        "wrote {out_path}: 400x20 contracted {:.4} ms vs legacy {:.4} ms ({:.2}x), \
-         {:.2}x vs pinned seed baseline {:.4} ms",
+        "wrote {out_path}: 400x20 contracted {:.4} ms, {:.2}x vs pinned legacy full-network \
+         {:.4} ms, {:.2}x vs pinned seed baseline {:.4} ms",
         report.e8_400x20.contracted_ms,
-        report.e8_400x20.legacy_ms,
         report.e8_400x20.speedup_vs_legacy,
+        LEGACY_FULL_400X20_MS,
         report.e8_400x20.speedup_vs_seed_baseline,
         SEED_BASELINE_400X20_MS,
     );
@@ -504,8 +469,8 @@ fn main() {
     );
     for point in &report.sweep {
         assert!(
-            point.audit_agreement,
-            "audit disagreement at {}x{}",
+            point.audit_certified,
+            "audit failed at {}x{}",
             point.jobs, point.sites
         );
     }

@@ -9,8 +9,7 @@ amf — Aggregate Max-min Fair resource allocation (ICPP 2019 reproduction)
 USAGE:
     amf gen      --jobs N --sites M [--alpha A] [--sites-per-job K]
                  [--seed S] [--load RHO]        # emit a trace (JSON, stdout)
-    amf solve    [--policy P] [--backend dinic|push-relabel|auto]
-                 [--no-contraction] [--explain] [--dot] < trace.json
+    amf solve    [--policy P] [--explain] [--dot] < trace.json
                                                 # allocation table / DOT graph
     amf simulate [--policy P] [--jct-addon] [--engine fluid|slots]
                  [--incremental] < trace.json
@@ -41,9 +40,7 @@ POLICIES:
 NOTES:
     gen: --alpha sets Zipf skew of per-job site shares (default 0 = uniform);
          --load RHO adds Poisson arrivals at offered load RHO (default: batch).
-    solve: --backend picks the max-flow kernel (default dinic) and
-         --no-contraction disables the shrinking-network optimization;
-         both apply to AMF policies only and never change the allocation.
+    solve: --explain prints the freeze rounds (AMF policies only).
     simulate: --incremental feeds the event loop through a persistent
          delta-driven AMF session (same results, fewer re-solves) and
          reports how many freeze rounds were replayed vs. re-solved.
@@ -71,11 +68,6 @@ pub struct GenParams {
 pub struct SolveParams {
     /// Policy name.
     pub policy: String,
-    /// Max-flow kernel ("dinic"/"push-relabel"/"auto"; None = solver
-    /// default). AMF policies only.
-    pub backend: Option<String>,
-    /// Disable the shrinking-network contraction (AMF policies only).
-    pub no_contraction: bool,
     /// Print the freeze-round explanation (AMF policies only).
     pub explain: bool,
     /// Emit a Graphviz DOT graph of the allocation instead of the table.
@@ -229,6 +221,42 @@ fn value_of(args: &[String], flag: &str) -> Result<Option<String>, ParseError> {
     Ok(None)
 }
 
+/// Reject any argument `cmd` does not accept, naming it. `values` lists
+/// the flags that take a value (the token after one is its value unless it
+/// is itself a flag, which [`value_of`] then reports), `switches` the flags
+/// that take none, both space-separated; `positionals` is how many bare
+/// tokens may appear.
+fn check_args(
+    cmd: &str,
+    args: &[String],
+    values: &str,
+    switches: &str,
+    positionals: usize,
+) -> Result<(), ParseError> {
+    let listed = |list: &str, a: &str| list.split_whitespace().any(|f| f == a);
+    let mut bare = 0;
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if listed(values, a) {
+            let has_value = args.get(i + 1).is_some_and(|v| !v.starts_with("--"));
+            i += if has_value { 2 } else { 1 };
+            continue;
+        }
+        if a.starts_with('-') && !listed(switches, a) {
+            return Err(ParseError(format!("{cmd}: unknown flag {a}")));
+        }
+        if !a.starts_with('-') {
+            bare += 1;
+            if bare > positionals {
+                return Err(ParseError(format!("{cmd}: unexpected argument {a}")));
+            }
+        }
+        i += 1;
+    }
+    Ok(())
+}
+
 fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, ParseError> {
     v.parse()
         .map_err(|_| ParseError(format!("invalid value for {flag}: {v}")))
@@ -240,6 +268,13 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
         None | Some("--help") | Some("-h") | Some("help") => Ok(Command::Help),
         Some("gen") => {
             let rest = &argv[1..];
+            check_args(
+                "gen",
+                rest,
+                "--jobs --sites --alpha --sites-per-job --seed --load",
+                "",
+                0,
+            )?;
             let jobs = value_of(rest, "--jobs")?
                 .ok_or_else(|| ParseError("gen: --jobs is required".into()))?;
             let sites = value_of(rest, "--sites")?
@@ -266,23 +301,21 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             }))
         }
         Some("solve") => {
-            let backend = value_of(&argv[1..], "--backend")?;
-            if let Some(b) = &backend {
-                if b != "dinic" && b != "push-relabel" && b != "auto" {
-                    return Err(ParseError(format!(
-                        "unknown backend: {b} (try dinic, push-relabel, auto)"
-                    )));
-                }
-            }
+            check_args("solve", &argv[1..], "--policy", "--explain --dot", 0)?;
             Ok(Command::Solve(SolveParams {
                 policy: value_of(&argv[1..], "--policy")?.unwrap_or_else(|| "amf".into()),
-                backend,
-                no_contraction: argv[1..].iter().any(|a| a == "--no-contraction"),
                 explain: argv[1..].iter().any(|a| a == "--explain"),
                 dot: argv[1..].iter().any(|a| a == "--dot"),
             }))
         }
         Some("simulate") => {
+            check_args(
+                "simulate",
+                &argv[1..],
+                "--policy --engine",
+                "--jct-addon --incremental",
+                0,
+            )?;
             let engine = value_of(&argv[1..], "--engine")?.unwrap_or_else(|| "fluid".into());
             if engine != "fluid" && engine != "slots" {
                 return Err(ParseError(format!("unknown engine: {engine}")));
@@ -300,8 +333,12 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 incremental,
             }))
         }
-        Some("check") => Ok(Command::Check),
+        Some("check") => {
+            check_args("check", &argv[1..], "", "", 0)?;
+            Ok(Command::Check)
+        }
         Some("audit") => {
+            check_args("audit", &argv[1..], "--policy --mode", "--json", 0)?;
             let mode = value_of(&argv[1..], "--mode")?;
             if let Some(m) = &mode {
                 if m != "plain" && m != "enhanced" {
@@ -314,9 +351,19 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 json: argv[1..].iter().any(|a| a == "--json"),
             }))
         }
-        Some("drf") => Ok(Command::Drf),
+        Some("drf") => {
+            check_args("drf", &argv[1..], "", "", 0)?;
+            Ok(Command::Drf)
+        }
         Some("serve") => {
             let rest = &argv[1..];
+            check_args(
+                "serve",
+                rest,
+                "--addr --workers --shards --queue-cap --scalar --port-file",
+                "--no-coalesce",
+                0,
+            )?;
             let scalar = value_of(rest, "--scalar")?.unwrap_or_else(|| "f64".into());
             if scalar != "f64" && scalar != "rational" {
                 return Err(ParseError(format!(
@@ -344,6 +391,13 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
         }
         Some("client") => {
             let rest = &argv[1..];
+            check_args(
+                "client",
+                rest,
+                "--addr --tenant --capacities --mode --id --demands --weight",
+                "",
+                1,
+            )?;
             let addr = value_of(rest, "--addr")?
                 .ok_or_else(|| ParseError("client: --addr is required".into()))?;
             // The action is the first non-flag, non-flag-value token.
@@ -482,8 +536,6 @@ mod tests {
             parse(&sv(&["solve"])).unwrap(),
             Command::Solve(SolveParams {
                 policy: "amf".into(),
-                backend: None,
-                no_contraction: false,
                 explain: false,
                 dot: false,
             })
@@ -492,29 +544,10 @@ mod tests {
             parse(&sv(&["solve", "--explain"])).unwrap(),
             Command::Solve(SolveParams {
                 policy: "amf".into(),
-                backend: None,
-                no_contraction: false,
                 explain: true,
                 dot: false,
             })
         );
-        assert_eq!(
-            parse(&sv(&[
-                "solve",
-                "--backend",
-                "push-relabel",
-                "--no-contraction"
-            ]))
-            .unwrap(),
-            Command::Solve(SolveParams {
-                policy: "amf".into(),
-                backend: Some("push-relabel".into()),
-                no_contraction: true,
-                explain: false,
-                dot: false,
-            })
-        );
-        assert!(parse(&sv(&["solve", "--backend", "bfs"])).is_err());
         assert_eq!(
             parse(&sv(&[
                 "simulate",
@@ -579,6 +612,61 @@ mod tests {
             })
         );
         assert!(parse(&sv(&["audit", "--mode", "strict"])).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        let err = |argv: &[&str]| parse(&sv(argv)).unwrap_err().to_string();
+        // The flow-kernel and contraction knobs `solve` used to take are
+        // unknown flags now, value and all.
+        for (knob, value) in [("backend", Some("dinic")), ("no-contraction", None)] {
+            let flag = format!("--{knob}");
+            let mut argv = vec!["solve", flag.as_str()];
+            argv.extend(value);
+            assert!(err(&argv).starts_with(&format!("solve: unknown flag {flag}")));
+        }
+        // A typo is named, not silently ignored.
+        assert!(err(&["solve", "--polcy", "per-site-max-min"])
+            .starts_with("solve: unknown flag --polcy"));
+        assert!(err(&["simulate", "--jct-adon"]).starts_with("simulate: unknown flag --jct-adon"));
+        assert!(err(&["serve", "--worker", "2"]).starts_with("serve: unknown flag --worker"));
+        assert!(err(&["check", "--json"]).starts_with("check: unknown flag --json"));
+        // Stray bare tokens, and a second client action.
+        assert!(err(&["audit", "amf"]).starts_with("audit: unexpected argument amf"));
+        assert!(err(&["client", "--addr", "a:1", "stats", "shutdown"])
+            .starts_with("client: unexpected argument shutdown"));
+        // A missing value is still reported as such.
+        assert!(err(&["gen", "--jobs", "--sites", "4"]).starts_with("--jobs requires a value"));
+        // Negative numbers are values, not flags.
+        assert!(parse(&sv(&[
+            "gen", "--jobs", "2", "--sites", "2", "--alpha", "-1"
+        ]))
+        .is_ok());
+    }
+
+    #[test]
+    fn documented_invocations_parse() {
+        // Every flag USAGE lists, and the CI serve-smoke invocations.
+        for line in [
+            "gen --jobs 8 --sites 3 --alpha 1.4 --sites-per-job 2 --seed 7 --load 0.5",
+            "solve --policy amf --explain --dot",
+            "simulate --policy amf --jct-addon --engine fluid --incremental",
+            "check",
+            "audit --policy amf-enhanced --mode enhanced --json",
+            "drf",
+            "serve --addr 127.0.0.1:0 --workers 2 --shards 2 --queue-cap 8 --no-coalesce \
+             --scalar rational --port-file /tmp/p",
+            "client --addr a:1 create --tenant ci --capacities 6,4 --mode plain",
+            "client --addr a:1 add-job --tenant ci --id 1 --demands 2,3 --weight 2",
+            "client --addr a:1 remove-job --tenant ci --id 1",
+            "client --addr a:1 solve --tenant ci",
+            "client --addr a:1 get --tenant ci",
+            "client --addr a:1 stats",
+            "client --addr a:1 shutdown",
+        ] {
+            let argv: Vec<&str> = line.split_whitespace().collect();
+            assert!(parse(&sv(&argv)).is_ok(), "{line:?} failed to parse");
+        }
     }
 
     #[test]

@@ -243,8 +243,8 @@ pub struct IncrementalAmf<S> {
 }
 
 impl<S: Scalar> IncrementalAmf<S> {
-    /// An empty session over `capacities` driven by `solver`'s
-    /// configuration (fairness mode, flow backend).
+    /// An empty session over `capacities` driven by `solver`'s fairness
+    /// mode.
     pub fn new(solver: AmfSolver, capacities: Vec<S>) -> Result<Self, DeltaError> {
         for (s, c) in capacities.iter().enumerate() {
             if *c < S::ZERO || !c.is_valid() {
@@ -252,8 +252,7 @@ impl<S: Scalar> IncrementalAmf<S> {
                 return Err(DeltaError::InvalidValue { what: "capacity" });
             }
         }
-        let net = AllocationNetwork::new(&[] as &[Vec<S>], &capacities)
-            .with_backend(solver.flow_backend());
+        let net = AllocationNetwork::new(&[] as &[Vec<S>], &capacities);
         Ok(IncrementalAmf {
             solver,
             capacities,
@@ -618,8 +617,8 @@ impl<S: Scalar> IncrementalAmf<S> {
         // Plain mode *delegates* the suffix to the from-scratch
         // shrinking-network solver on the contracted residual instance:
         // commit the frozen slots' current network splits (exactly what
-        // `solve_contracted` does after each round) and solve the actives
-        // against the leftover capacities. The exactness argument is the
+        // `AmfSolver::solve_with_pool` does after each round) and solve the
+        // actives against the leftover capacities. The exactness argument is the
         // solver's own contraction argument, and Plain-mode level caps
         // depend only on demands and weights, so the sub-solve's water
         // levels are the session's absolute levels. Enhanced mode cannot

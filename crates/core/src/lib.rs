@@ -43,7 +43,9 @@
 //!   instances;
 //! * [`water_fill`] / [`water_fill_weighted`] — conventional single-pool
 //!   max-min fairness ([`water_fill_weighted_into`] is the allocation-free
-//!   form).
+//!   form);
+//! * [`par_map_init`] — the parallel map behind
+//!   [`AmfSolver::solve_batch`], one state per worker thread.
 //!
 //! Everything is generic over [`amf_numeric::Scalar`]: use `f64` for speed
 //! or [`amf_numeric::Rational`] for exact results.
@@ -63,21 +65,21 @@ pub mod dot;
 pub mod incremental;
 pub mod levels;
 mod model;
+mod parallel;
 mod policy;
 pub mod properties;
 mod reference;
 pub mod solver;
 mod water;
 
-pub use amf_flow::FlowBackend;
 pub use baselines::{pooled_max_min_bound, EqualDivision, PerSiteMaxMin, ProportionalToDemand};
 pub use dot::to_dot;
 pub use incremental::{Delta, DeltaError, IncrementalAmf, JobId};
 pub use model::{Allocation, Instance, ModelError};
+pub use parallel::par_map_init;
 pub use policy::{AllocationPolicy, PooledAmf};
 pub use reference::{reference_aggregates, MAX_REFERENCE_JOBS};
 pub use solver::{
-    AmfSolver, BottleneckStrategy, FairnessMode, FreezeReason, FreezeRound, SolveOutput,
-    SolveStats, SolverPool,
+    AmfSolver, FairnessMode, FreezeReason, FreezeRound, SolveOutput, SolveStats, SolverPool,
 };
 pub use water::{water_fill, water_fill_weighted, water_fill_weighted_into};

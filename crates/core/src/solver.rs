@@ -28,8 +28,8 @@
 //!
 //! # The shrinking network
 //!
-//! By default the solver **contracts** the allocation network after every
-//! freeze round. Frozen jobs and sink-unreachable sites can never gain or
+//! The solver **contracts** the allocation network after every freeze
+//! round. Frozen jobs and sink-unreachable sites can never gain or
 //! lose flow at any later water level (no augmenting path traverses a node
 //! without a residual path to the sink, and additional flow injected by
 //! raising an *active* job's source cap stays inside the sink-reachable
@@ -38,20 +38,22 @@
 //! the committed usage at surviving sites folds into *residual site
 //! budgets*. Round `k` then runs its max flows on only the still-active
 //! jobs × still-growable sites subgraph, which shrinks geometrically on
-//! typical workloads. The legacy full-network path is kept behind
-//! [`AmfSolver::without_contraction`] for the ablation benches, and a
-//! property test cross-checks the two bit-for-bit on exact rationals.
+//! typical workloads. Every feasibility check warm-starts from the previous
+//! max flow, and Dinic augments it.
 //!
-//! With the exact [`Rational`](amf_numeric::Rational) scalar the result is
-//! the exact AMF vector (cross-checked against brute-force subset
-//! enumeration in [`crate::reference`]); with `f64` all comparisons use a
-//! relative tolerance.
+//! This is the solver's only path. Its correctness is cross-checked by
+//! oracles that share no code with it: brute-force subset enumeration
+//! ([`reference_aggregates`](crate::reference_aggregates)), the `amf-audit`
+//! certificate, exact [`Rational`](amf_numeric::Rational) arithmetic, and
+//! max-flow/min-cut duality in the flow kernel's own tests. With the exact
+//! scalar the result is the exact AMF vector; with `f64` all comparisons
+//! use a relative tolerance.
 
 use crate::levels::{invert_total_with, LevelCap};
 use crate::model::{Allocation, Instance};
-use amf_flow::{AllocationNetwork, FlowBackend, FlowScratch};
+use crate::parallel::par_map_init;
+use amf_flow::{AllocationNetwork, FlowScratch};
 use amf_numeric::{max2, min2, sum, Scalar};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which fairness objective the solver computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,7 +88,9 @@ pub struct FreezeRound<S> {
     pub frozen: Vec<(usize, FreezeReason)>,
 }
 
-/// Diagnostics from one solver run (used by the ablation benches).
+/// Work counters from one solver run: rounds, feasibility checks, network
+/// sizes and flow-kernel effort, as `bench_solver` and the event-loop
+/// benchmarks report them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Progressive-filling rounds executed (each freezes >= 1 job).
@@ -95,15 +99,14 @@ pub struct SolveStats {
     pub dinkelbach_iterations: usize,
     /// Total max-flow computations, including any final split extraction.
     pub max_flows: usize,
-    /// Feasibility checks that could not keep the previous flow as-is:
-    /// on the contracted path the excess is drained per job (the rest of
-    /// the warm flow survives); with warm starts disabled every check
-    /// discards the flow, so this equals `max_flows`.
+    /// Feasibility checks that could not keep the previous flow as-is,
+    /// because a job's cap fell below its warm flow. Only that job's
+    /// excess is drained; the rest of the warm flow survives.
     pub flow_resets: usize,
-    /// Network contractions performed (0 on the legacy full path).
+    /// Network contractions performed: one after every round but the last.
     pub contractions: usize,
-    /// Sum over rounds of the number of jobs still in the working network —
-    /// the contracted path's shrinking advantage shows up here.
+    /// Sum over rounds of the number of jobs still in the working network;
+    /// contraction's shrinking shows up here.
     pub active_job_rounds: usize,
     /// Sum over rounds of the number of sites still in the working network.
     pub active_site_rounds: usize,
@@ -122,12 +125,12 @@ pub struct SolveStats {
     /// the word-packed layout (from the [`FlowScratch`] counters).
     pub bitset_words_cleared: u64,
     /// Freeze rounds an incremental session verified against its cached
-    /// round log and replayed without re-solving (always 0 on the
-    /// from-scratch paths).
+    /// round log and replayed without re-solving (always 0 on a
+    /// from-scratch solve).
     pub rounds_replayed: usize,
     /// Freeze rounds an incremental session had to re-solve by Dinkelbach
-    /// descent after a delta invalidated the cached suffix (always 0 on
-    /// the from-scratch paths, where `rounds` counts that work).
+    /// descent after a delta invalidated the cached suffix (always 0 on a
+    /// from-scratch solve, where `rounds` counts that work).
     pub rounds_resolved: usize,
 }
 
@@ -172,24 +175,6 @@ pub struct SolveOutput<S> {
     pub rounds: Vec<FreezeRound<S>>,
     /// Solver diagnostics.
     pub stats: SolveStats,
-}
-
-/// How the solver locates the largest feasible water level each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BottleneckStrategy {
-    /// Descend from the demand-capped upper bound, jumping directly to the
-    /// tight level of the min cut's violating set (default; exact and
-    /// typically converges in 1–3 feasibility checks per round).
-    Dinkelbach,
-    /// Classic Megiddo-style bisection: halve a feasible/infeasible
-    /// bracket `iterations` times, then run the Dinkelbach tail from the
-    /// infeasible side so the final level is still *exact*. Exists for the
-    /// algorithm ablation (see the ablation bench); more feasibility
-    /// checks, same answers.
-    Bisection {
-        /// Number of halvings before the exact tail (8–24 is sensible).
-        iterations: usize,
-    },
 }
 
 /// Reusable working memory for [`AmfSolver::solve_with_pool`].
@@ -327,10 +312,6 @@ impl<S: Scalar> Default for SolverPool<S> {
 #[derive(Debug, Clone, Copy)]
 pub struct AmfSolver {
     mode: FairnessMode,
-    warm_start: bool,
-    bottleneck: BottleneckStrategy,
-    backend: FlowBackend,
-    contraction: bool,
 }
 
 impl Default for AmfSolver {
@@ -344,10 +325,6 @@ impl AmfSolver {
     pub fn new() -> Self {
         AmfSolver {
             mode: FairnessMode::Plain,
-            warm_start: true,
-            bottleneck: BottleneckStrategy::Dinkelbach,
-            backend: FlowBackend::default(),
-            contraction: true,
         }
     }
 
@@ -355,51 +332,12 @@ impl AmfSolver {
     pub fn enhanced() -> Self {
         AmfSolver {
             mode: FairnessMode::Enhanced,
-            ..AmfSolver::new()
         }
-    }
-
-    /// Disable flow warm starts between feasibility checks. The result is
-    /// identical (max-flow values are unique); this exists for the
-    /// warm-start ablation bench.
-    pub fn without_warm_start(mut self) -> Self {
-        self.warm_start = false;
-        self
-    }
-
-    /// Use bisection bottleneck search (see [`BottleneckStrategy`]).
-    pub fn with_bisection(mut self, iterations: usize) -> Self {
-        self.bottleneck = BottleneckStrategy::Bisection { iterations };
-        self
-    }
-
-    /// Disable network contraction: every round runs its max flows on the
-    /// full jobs × sites network, as the original solver did. The result
-    /// is identical; this exists for the contraction ablation bench.
-    pub fn without_contraction(mut self) -> Self {
-        self.contraction = false;
-        self
-    }
-
-    /// Select the max-flow kernel (see [`FlowBackend`]; default Dinic).
-    pub fn with_flow_backend(mut self, backend: FlowBackend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// The configured mode.
     pub fn mode(&self) -> FairnessMode {
         self.mode
-    }
-
-    /// The configured max-flow backend.
-    pub fn flow_backend(&self) -> FlowBackend {
-        self.backend
-    }
-
-    /// Whether the shrinking-network path is enabled (default true).
-    pub fn contraction_enabled(&self) -> bool {
-        self.contraction
     }
 
     /// Compute the AMF allocation for `inst`.
@@ -410,21 +348,6 @@ impl AmfSolver {
     pub fn solve<S: Scalar>(&self, inst: &Instance<S>) -> SolveOutput<S> {
         let mut pool = SolverPool::new();
         self.solve_with_pool(inst, &mut pool)
-    }
-
-    /// [`solve`](Self::solve) with caller-provided working memory. The
-    /// result is identical; repeated calls reuse the pool's buffers and
-    /// scratch arena instead of reallocating them.
-    pub fn solve_with_pool<S: Scalar>(
-        &self,
-        inst: &Instance<S>,
-        pool: &mut SolverPool<S>,
-    ) -> SolveOutput<S> {
-        if self.contraction {
-            self.solve_contracted(inst, pool)
-        } else {
-            self.solve_full(inst, pool)
-        }
     }
 
     /// Solve many instances, in parallel when the host has multiple cores.
@@ -448,45 +371,9 @@ impl AmfSolver {
         insts: &[Instance<S>],
         threads: usize,
     ) -> Vec<SolveOutput<S>> {
-        let threads = threads.max(1).min(insts.len().max(1));
-        if threads <= 1 {
-            let mut pool = SolverPool::new();
-            return insts
-                .iter()
-                .map(|inst| self.solve_with_pool(inst, &mut pool))
-                .collect();
-        }
-        let solver = *self;
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<SolveOutput<S>>> = (0..insts.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut pool = SolverPool::new();
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= insts.len() {
-                                break;
-                            }
-                            done.push((i, solver.solve_with_pool(&insts[i], &mut pool)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, out) in handle.join().expect("solver worker panicked") {
-                    slots[i] = Some(out);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every instance solved"))
-            .collect()
+        par_map_init(insts, threads, SolverPool::new, |pool, inst| {
+            self.solve_with_pool(inst, pool)
+        })
     }
 
     /// Per-job cap functions for `inst` under the configured mode.
@@ -505,14 +392,16 @@ impl AmfSolver {
             .collect()
     }
 
-    /// The shrinking-network solve (default path). See the module docs for
-    /// why committing frozen splits and contracting dead sites is exact.
+    /// [`solve`](Self::solve) with caller-provided working memory. The
+    /// result is identical; repeated calls reuse the pool's buffers and
+    /// scratch arena instead of reallocating them.
     ///
-    /// After the initial scan of the instance, every per-round and
-    /// per-check step walks the active jobs' demand supports, so its cost
-    /// is linear in the live demand entries rather than in live jobs ×
-    /// live sites, and every buffer comes from the pool.
-    fn solve_contracted<S: Scalar>(
+    /// See the module docs for why committing frozen splits and contracting
+    /// dead sites is exact. After the initial scan of the instance, every
+    /// per-round and per-check step walks the active jobs' demand supports,
+    /// so its cost is linear in the live demand entries rather than in live
+    /// jobs × live sites, and every buffer comes from the pool.
+    pub fn solve_with_pool<S: Scalar>(
         &self,
         inst: &Instance<S>,
         pool: &mut SolverPool<S>,
@@ -591,13 +480,8 @@ impl AmfSolver {
         let reuse0 = arena.reuse_hits();
         let csr0 = arena.csr_rebuilds();
         let words0 = arena.bitset_words_cleared();
-        let mut net = AllocationNetwork::new_sparse_with_scratch(
-            &cur.start,
-            &cur.support,
-            &cur.caps,
-            self.backend,
-            arena,
-        );
+        let mut net =
+            AllocationNetwork::new_sparse_with_scratch(&cur.start, &cur.support, &cur.caps, arena);
 
         let mut rounds: Vec<FreezeRound<S>> = Vec::new();
 
@@ -613,50 +497,23 @@ impl AmfSolver {
                 t = max2(t, caps[j].high_breakpoint());
             }
 
-            // Bisection pre-bracketing (ablation mode): narrow [lo, hi]
-            // by halving before the exact Dinkelbach tail.
-            if let BottleneckStrategy::Bisection { iterations } = self.bottleneck {
-                let mut lo = S::ZERO;
-                let mut hi = t;
-                stats.max_flows += 1;
-                let (flow, target) =
-                    self.check_level_contracted(&mut net, &caps, cur, hi, &mut stats, us);
-                if !close_rel(flow, target) {
-                    for _ in 0..iterations {
-                        let mid = (lo + hi) / S::from_usize(2);
-                        stats.max_flows += 1;
-                        let (flow, target) =
-                            self.check_level_contracted(&mut net, &caps, cur, mid, &mut stats, us);
-                        if close_rel(flow, target) {
-                            lo = mid;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    // Resume the exact tail from the infeasible side.
-                    t = hi;
-                    let _ = lo;
-                }
-            }
-
             // Dinkelbach descent to the largest feasible level. When the
             // loop exits on a feasible check the network already holds the
-            // max flow at t*, so the legacy re-check is skipped.
+            // max flow at t*, so no re-check is needed.
             let mut at_t_star = false;
             let t_star = loop {
                 stats.dinkelbach_iterations += 1;
                 stats.max_flows += 1;
-                let (flow, target) =
-                    self.check_level_contracted(&mut net, &caps, cur, t, &mut stats, us);
+                let (flow, target) = check_level(&mut net, &caps, cur, t, &mut stats, us);
                 if close_rel(flow, target) {
                     at_t_star = true;
                     break t;
                 }
                 // Infeasible: the min cut names the violating job set J.
                 // The tight level satisfies Σ_{i∈J} u_i(t') = f'(J) + Σ base,
-                // with f' the rank of the *contracted* network — the
-                // incremental form of the legacy full-network residual
-                // budget, checked against the invariant in debug builds.
+                // with f' the rank of the *contracted* network; the residual
+                // site budgets it reads are checked against
+                // `c_s - committed` in debug builds.
                 net.source_side_jobs_into(side);
                 debug_assert!(
                     residual_budget_agrees(inst, &cur.sites, &cur.caps, split),
@@ -694,8 +551,7 @@ impl AmfSolver {
                 // Re-establish the max flow at t_star (only needed when the
                 // loop exited on a lowered level without re-checking).
                 stats.max_flows += 1;
-                let (flow, target) =
-                    self.check_level_contracted(&mut net, &caps, cur, t_star, &mut stats, us);
+                let (flow, target) = check_level(&mut net, &caps, cur, t_star, &mut stats, us);
                 debug_assert!(
                     close_rel(flow, target),
                     "level t*={t_star} must be feasible (flow {flow}, target {target})"
@@ -824,26 +680,23 @@ impl AmfSolver {
                 &next.start,
                 &next.support,
                 &next.caps,
-                self.backend,
                 arena,
             );
-            if self.warm_start {
-                // Job caps start at zero; raise each to its preloaded total
-                // (summed in `preload_job_split`'s own edge order so the f64
-                // results are bitwise identical) before pushing the flow.
-                for (i2, w) in preload_start.windows(2).enumerate() {
-                    let flows = &preload[w[0]..w[1]];
-                    let mut job_total = S::ZERO;
-                    for &(_, v) in flows {
-                        if v.is_positive() {
-                            job_total += v;
-                        }
+            // Job caps start at zero; raise each to its preloaded total
+            // (summed in `preload_job_split`'s own edge order so the f64
+            // results are bitwise identical) before pushing the flow.
+            for (i2, w) in preload_start.windows(2).enumerate() {
+                let flows = &preload[w[0]..w[1]];
+                let mut job_total = S::ZERO;
+                for &(_, v) in flows {
+                    if v.is_positive() {
+                        job_total += v;
                     }
-                    if job_total.is_positive() {
-                        net.set_job_cap(i2, job_total);
-                    }
-                    net.preload_job_split(i2, flows.iter().copied());
                 }
+                if job_total.is_positive() {
+                    net.set_job_cap(i2, job_total);
+                }
+                net.preload_job_split(i2, flows.iter().copied());
             }
             std::mem::swap(cur, next);
         }
@@ -873,319 +726,53 @@ impl AmfSolver {
             stats,
         }
     }
-
-    /// Set contracted source caps for level `t`, recompute the max flow,
-    /// and return `(flow, target)` where both exclude committed flow.
-    ///
-    /// Job `i`'s contracted cap is `max(u_j(t) - base_i, 0)`: the part of
-    /// its target not already committed at removed sites. For any `t` at or
-    /// above the previous round's level the clamp is inert (`u >= base`);
-    /// below it (bisection probes) both networks report feasible, so the
-    /// bracketing logic is unaffected.
-    fn check_level_contracted<S: Scalar>(
-        &self,
-        net: &mut AllocationNetwork<S>,
-        caps: &[LevelCap<S>],
-        active: &Active<S>,
-        t: S,
-        stats: &mut SolveStats,
-        us: &mut Vec<S>,
-    ) -> (S, S) {
-        us.clear();
-        us.extend(
-            active
-                .jobs
-                .iter()
-                .zip(&active.base)
-                .map(|(&j, &b)| max2(caps[j].at(t) - b, S::ZERO)),
-        );
-        let mut target = S::ZERO;
-        if self.warm_start {
-            // Per-job repair instead of a global reset: a cap that dropped
-            // below the job's warm flow drains only its own excess
-            // (edge-local cancellation keeps conservation), everything else
-            // keeps its flow with the cap clamped up by any f64 hair.
-            // The subsequent max flow augments the surviving warm flow, so
-            // Dinkelbach descent never recomputes from zero.
-            let mut repaired = false;
-            for (i, &u) in us.iter().enumerate() {
-                if u.definitely_lt(net.job_flow(i)) {
-                    net.drain_job_to_cap(i, u);
-                    repaired = true;
-                } else {
-                    net.set_job_cap(i, max2(u, net.job_flow(i)));
-                }
-                target += u;
-            }
-            if repaired {
-                stats.flow_resets += 1;
-            }
-        } else {
-            net.reset_flow();
-            stats.flow_resets += 1;
-            for (i, &u) in us.iter().enumerate() {
-                net.set_job_cap(i, u);
-                target += u;
-            }
-        }
-        let flow = net.run_max_flow();
-        (flow, target)
-    }
-
-    /// The legacy full-network solve, kept for the contraction ablation
-    /// (identical results; every round pays max flows on all n×m nodes).
-    fn solve_full<S: Scalar>(
-        &self,
-        inst: &Instance<S>,
-        pool: &mut SolverPool<S>,
-    ) -> SolveOutput<S> {
-        let n = inst.n_jobs();
-        let mut stats = SolveStats::default();
-        if n == 0 {
-            return SolveOutput {
-                allocation: Allocation::from_split(Vec::new()),
-                rounds: Vec::new(),
-                stats,
-            };
-        }
-        let SolverPool {
-            scratch,
-            us,
-            side,
-            split,
-            events,
-            ..
-        } = pool;
-
-        let caps = self.build_caps(inst);
-        let mut frozen: Vec<Option<S>> = caps
-            .iter()
-            .map(|c| {
-                if c.ceil.is_positive() {
-                    None
-                } else {
-                    Some(S::ZERO)
-                }
-            })
-            .collect();
-
-        let arena = std::mem::take(scratch);
-        let edges0 = arena.edges_visited();
-        let reuse0 = arena.reuse_hits();
-        let csr0 = arena.csr_rebuilds();
-        let words0 = arena.bitset_words_cleared();
-        let mut net = AllocationNetwork::new_with_scratch(
-            inst.demands(),
-            inst.capacities(),
-            self.backend,
-            arena,
-        );
-        let mut rounds: Vec<FreezeRound<S>> = Vec::new();
-
-        while frozen.iter().any(Option::is_none) {
-            stats.rounds += 1;
-            stats.active_job_rounds += frozen.iter().filter(|f| f.is_none()).count();
-            stats.active_site_rounds += inst.n_sites();
-            // Upper bound: the level at which every active job is at its
-            // ceiling (u_j flat beyond its high breakpoint).
-            let mut t = S::ZERO;
-            for (j, c) in caps.iter().enumerate() {
-                if frozen[j].is_none() {
-                    t = max2(t, c.high_breakpoint());
-                }
-            }
-
-            // Bisection pre-bracketing (ablation mode): narrow [lo, hi]
-            // by halving before the exact Dinkelbach tail.
-            if let BottleneckStrategy::Bisection { iterations } = self.bottleneck {
-                let mut lo = S::ZERO;
-                let mut hi = t;
-                stats.max_flows += 1;
-                let (flow, target) = self.check_level(&mut net, &caps, &frozen, hi, &mut stats, us);
-                if !close_rel(flow, target) {
-                    for _ in 0..iterations {
-                        let mid = (lo + hi) / S::from_usize(2);
-                        stats.max_flows += 1;
-                        let (flow, target) =
-                            self.check_level(&mut net, &caps, &frozen, mid, &mut stats, us);
-                        if close_rel(flow, target) {
-                            lo = mid;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    // Resume the exact tail from the infeasible side.
-                    t = hi;
-                    let _ = lo;
-                }
-            }
-
-            // Dinkelbach descent to the largest feasible level.
-            let t_star = loop {
-                stats.dinkelbach_iterations += 1;
-                stats.max_flows += 1;
-                let (flow, target) = self.check_level(&mut net, &caps, &frozen, t, &mut stats, us);
-                if close_rel(flow, target) {
-                    break t;
-                }
-                // Infeasible: the min cut names the violating job set J.
-                net.source_side_jobs_into(side);
-                let budget = residual_budget(inst, &frozen, side);
-                let active_in_side = |j: &usize| side[*j] && frozen[*j].is_none();
-                debug_assert!(
-                    (0..n).any(|j| active_in_side(&j)),
-                    "violating set without active jobs: frozen state infeasible"
-                );
-                let members = (0..n).filter(active_in_side).map(|j| caps[j]);
-                let t_next = invert_total_with(members, budget, events);
-                if !t_next.definitely_lt(t) {
-                    // No numerical progress (f64 only): accept the current
-                    // level; the freeze step below still terminates.
-                    break t_next;
-                }
-                t = t_next;
-            };
-
-            // Re-establish the max flow at t_star if the loop exited on a
-            // lowered level without re-checking.
-            stats.max_flows += 1;
-            let (flow, target) = self.check_level(&mut net, &caps, &frozen, t_star, &mut stats, us);
-            debug_assert!(
-                close_rel(flow, target),
-                "level t*={t_star} must be feasible (flow {flow}, target {target})"
-            );
-
-            // Freeze demand-capped jobs and bottlenecked jobs.
-            let can_grow = net.jobs_with_residual_to_sink();
-            let mut round = FreezeRound {
-                level: t_star,
-                frozen: Vec::new(),
-            };
-            for j in 0..n {
-                if frozen[j].is_some() {
-                    continue;
-                }
-                let u = caps[j].at(t_star);
-                if !u.definitely_lt(caps[j].ceil) {
-                    frozen[j] = Some(caps[j].ceil);
-                    round.frozen.push((j, FreezeReason::DemandCapped));
-                } else if !can_grow[j] {
-                    frozen[j] = Some(u);
-                    round.frozen.push((j, FreezeReason::Bottlenecked));
-                }
-            }
-            if round.frozen.is_empty() {
-                // Safety net for f64 rounding: freeze everything at the
-                // current level rather than loop forever. Unreachable with
-                // exact arithmetic (a maximal feasible level always has a
-                // tight set).
-                debug_assert!(!S::EXACT, "exact solve failed to freeze a job");
-                for j in 0..n {
-                    if frozen[j].is_none() {
-                        frozen[j] = Some(caps[j].at(t_star));
-                        round.frozen.push((j, FreezeReason::Bottlenecked));
-                    }
-                }
-            }
-            rounds.push(round);
-        }
-
-        // Final split: fix every source cap to the frozen aggregate.
-        net.reset_flow();
-        for (j, a) in frozen.iter().enumerate() {
-            net.set_job_cap(j, a.expect("all jobs frozen"));
-        }
-        stats.max_flows += 1;
-        let total = net.run_max_flow();
-        let expected = sum(frozen.iter().map(|a| a.expect("all jobs frozen")));
-        debug_assert!(
-            close_rel(total, expected),
-            "final split does not realize the frozen aggregates"
-        );
-        net.split_into(split);
-        *scratch = net.take_scratch();
-        stats.edges_visited = scratch.edges_visited() - edges0;
-        stats.scratch_reuse_hits = scratch.reuse_hits() - reuse0;
-        stats.csr_rebuilds = scratch.csr_rebuilds() - csr0;
-        stats.bitset_words_cleared = scratch.bitset_words_cleared() - words0;
-        let allocation = Allocation::from_split(std::mem::take(split));
-        // Self-audit in debug builds: the flow network guarantees these by
-        // construction, so a failure here means the network itself is bad.
-        // (The full certificate auditor lives in `amf-audit`, which sits
-        // above this crate; see `SolverAuditExt::solve_audited`.)
-        debug_assert!(
-            allocation.is_feasible(inst),
-            "solver emitted an infeasible allocation"
-        );
-
-        SolveOutput {
-            allocation,
-            rounds,
-            stats,
-        }
-    }
-
-    /// Set source caps for level `t`, recompute the max flow, and return
-    /// `(flow, target)`.
-    ///
-    /// Warm start: when every new cap is at least the flow already on its
-    /// source edge, the current flow remains feasible and Dinic only
-    /// augments. Caps shrink only on Dinkelbach descents, which then pay
-    /// one full recompute. Max-flow values are unique, so warm and cold
-    /// paths give identical results.
-    fn check_level<S: Scalar>(
-        &self,
-        net: &mut AllocationNetwork<S>,
-        caps: &[LevelCap<S>],
-        frozen: &[Option<S>],
-        t: S,
-        stats: &mut SolveStats,
-        us: &mut Vec<S>,
-    ) -> (S, S) {
-        us.clear();
-        us.extend(caps.iter().enumerate().map(|(j, c)| match frozen[j] {
-            Some(a) => a,
-            None => c.at(t),
-        }));
-        let keep_flow = self.warm_start
-            && us
-                .iter()
-                .enumerate()
-                .all(|(j, &u)| !u.definitely_lt(net.job_flow(j)));
-        if !keep_flow {
-            net.reset_flow();
-            stats.flow_resets += 1;
-        }
-        let mut target = S::ZERO;
-        for (j, &u) in us.iter().enumerate() {
-            // With f64 a kept flow may exceed the new cap by <= eps; clamp
-            // the cap up so the invariant `flow <= cap` holds exactly.
-            let u_safe = if keep_flow {
-                max2(u, net.job_flow(j))
-            } else {
-                u
-            };
-            net.set_job_cap(j, u_safe);
-            target += u;
-        }
-        let flow = net.run_max_flow();
-        (flow, target)
-    }
 }
 
-/// `f(J) - Σ_{frozen j ∈ J} A_j`: the resource left for the active members
-/// of the violating set `J` (legacy full-network form; the contracted path
-/// uses [`contracted_rank`] over the shrunk subgraph instead).
-fn residual_budget<S: Scalar>(inst: &Instance<S>, frozen: &[Option<S>], side: &[bool]) -> S {
-    let mut budget = inst.rank(side);
-    for (j, &inside) in side.iter().enumerate() {
-        if inside {
-            if let Some(a) = frozen[j] {
-                budget -= a;
-            }
+/// Set contracted source caps for level `t`, recompute the max flow, and
+/// return `(flow, target)` where both exclude committed flow.
+///
+/// Job `i`'s contracted cap is `max(u_j(t) - base_i, 0)`: the part of its
+/// target not already committed at removed sites. Every level checked is
+/// at or above the previous round's, so the clamp is inert (`u >= base`)
+/// up to `f64` rounding.
+///
+/// Per-job repair instead of a global reset: a cap that dropped below the
+/// job's warm flow drains only its own excess (edge-local cancellation
+/// keeps conservation), everything else keeps its flow with the cap
+/// clamped up by any f64 hair. The max flow then augments the surviving
+/// warm flow, so Dinkelbach descent never recomputes from zero.
+fn check_level<S: Scalar>(
+    net: &mut AllocationNetwork<S>,
+    caps: &[LevelCap<S>],
+    active: &Active<S>,
+    t: S,
+    stats: &mut SolveStats,
+    us: &mut Vec<S>,
+) -> (S, S) {
+    us.clear();
+    us.extend(
+        active
+            .jobs
+            .iter()
+            .zip(&active.base)
+            .map(|(&j, &b)| max2(caps[j].at(t) - b, S::ZERO)),
+    );
+    let mut target = S::ZERO;
+    let mut repaired = false;
+    for (i, &u) in us.iter().enumerate() {
+        if u.definitely_lt(net.job_flow(i)) {
+            net.drain_job_to_cap(i, u);
+            repaired = true;
+        } else {
+            net.set_job_cap(i, max2(u, net.job_flow(i)));
         }
+        target += u;
     }
-    budget
+    if repaired {
+        stats.flow_resets += 1;
+    }
+    let flow = net.run_max_flow();
+    (flow, target)
 }
 
 /// Polymatroid rank of the job set `side` (indices into `active.jobs`) in

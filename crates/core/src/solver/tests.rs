@@ -1,5 +1,4 @@
 use super::*;
-use amf_flow::FlowBackend;
 use amf_numeric::Rational;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -181,39 +180,6 @@ fn total_is_maximal() {
 }
 
 #[test]
-fn bisection_and_dinkelbach_agree_exactly() {
-    let mut rng = StdRng::seed_from_u64(57);
-    for _ in 0..30 {
-        let inst = random_rational_instance(&mut rng);
-        let dink = AmfSolver::new().solve(&inst);
-        let bisect = AmfSolver::new().with_bisection(12).solve(&inst);
-        assert_eq!(
-            dink.allocation.aggregates(),
-            bisect.allocation.aggregates(),
-            "strategies disagree"
-        );
-        // Bisection spends at least as many feasibility checks.
-        assert!(bisect.stats.max_flows >= dink.stats.max_flows);
-    }
-}
-
-#[test]
-fn warm_and_cold_starts_agree_exactly() {
-    let mut rng = StdRng::seed_from_u64(31);
-    for _ in 0..30 {
-        let inst = random_rational_instance(&mut rng);
-        let warm = AmfSolver::new().solve(&inst);
-        let cold = AmfSolver::new().without_warm_start().solve(&inst);
-        assert_eq!(
-            warm.allocation.aggregates(),
-            cold.allocation.aggregates(),
-            "warm/cold disagree"
-        );
-        assert!(warm.stats.flow_resets <= cold.stats.flow_resets);
-    }
-}
-
-#[test]
 fn freeze_rounds_explain_the_allocation() {
     // Job 0 stuck at a tiny site (bottlenecked early), job 1 demand-
     // capped on a huge one.
@@ -256,41 +222,34 @@ fn stats_are_populated() {
 }
 
 #[test]
-fn contracted_and_full_agree_exactly() {
-    // The tentpole equivalence: the shrinking-network path reproduces the
-    // legacy full-network path bit-for-bit on exact rationals — same
-    // aggregates AND the same freeze-round explanation.
+fn solver_matches_the_reference_exactly() {
+    // Exact rationals: the aggregates equal brute-force subset enumeration
+    // bit for bit in both modes, and every round but the last contracts.
     let mut rng = StdRng::seed_from_u64(97);
     for trial in 0..40 {
         let inst = random_rational_instance(&mut rng);
-        let solver = if trial % 2 == 0 {
-            AmfSolver::new()
+        let (solver, mode) = if trial % 2 == 0 {
+            (AmfSolver::new(), FairnessMode::Plain)
         } else {
-            AmfSolver::enhanced()
+            (AmfSolver::enhanced(), FairnessMode::Enhanced)
         };
-        let full = solver.without_contraction().solve(&inst);
-        let contracted = solver.solve(&inst);
+        let out = solver.solve(&inst);
         assert_eq!(
-            full.allocation.aggregates(),
-            contracted.allocation.aggregates(),
-            "aggregates disagree on trial {trial}"
+            out.allocation.aggregates(),
+            &crate::reference_aggregates(&inst, mode)[..],
+            "aggregates disagree with the reference on trial {trial}"
         );
-        assert_eq!(
-            full.rounds, contracted.rounds,
-            "rounds disagree on trial {trial}"
-        );
-        assert!(contracted.allocation.is_feasible(&inst));
-        if contracted.stats.rounds > 1 {
-            assert!(contracted.stats.contractions >= 1);
-        }
-        assert_eq!(full.stats.contractions, 0);
+        assert!(out.allocation.is_feasible(&inst));
+        assert_eq!(out.stats.contractions, out.stats.rounds.saturating_sub(1));
     }
 }
 
 #[test]
 fn contraction_shrinks_the_working_network() {
-    // Disjoint bottlenecks force one freeze per round; the contracted
-    // path must touch strictly fewer job-rounds than rounds × n.
+    // Disjoint bottlenecks force one freeze per round, at levels 1, 4, 9
+    // and the demand cap 50. Each contraction drops the frozen job and its
+    // saturated site, so the rounds see 4 + 3 + 2 + 1 jobs and sites, not
+    // rounds × 4.
     let inst = Instance::new(
         vec![ri(1), ri(4), ri(9), ri(100)],
         vec![
@@ -301,41 +260,16 @@ fn contraction_shrinks_the_working_network() {
         ],
     )
     .unwrap();
-    let full = AmfSolver::new().without_contraction().solve(&inst);
-    let contracted = AmfSolver::new().solve(&inst);
+    let out = AmfSolver::new().solve(&inst);
     assert_eq!(
-        full.allocation.aggregates(),
-        contracted.allocation.aggregates()
+        out.allocation.aggregates(),
+        &crate::reference_aggregates(&inst, FairnessMode::Plain)[..]
     );
-    assert!(contracted.stats.contractions >= 1);
-    assert!(
-        contracted.stats.active_job_rounds < contracted.stats.rounds * 4,
-        "active_job_rounds {} did not shrink over {} rounds",
-        contracted.stats.active_job_rounds,
-        contracted.stats.rounds
-    );
-    assert!(full.stats.active_job_rounds >= contracted.stats.active_job_rounds);
-}
-
-#[test]
-fn push_relabel_backend_agrees_exactly() {
-    let mut rng = StdRng::seed_from_u64(143);
-    for _ in 0..25 {
-        let inst = random_rational_instance(&mut rng);
-        let dinic = AmfSolver::new().solve(&inst);
-        let pr = AmfSolver::new()
-            .with_flow_backend(FlowBackend::PushRelabel)
-            .solve(&inst);
-        let auto = AmfSolver::new()
-            .with_flow_backend(FlowBackend::Auto)
-            .solve(&inst);
-        // Max-flow values are unique and the residual reachability sets
-        // are kernel-independent, so aggregates and rounds must match.
-        assert_eq!(dinic.allocation.aggregates(), pr.allocation.aggregates());
-        assert_eq!(dinic.allocation.aggregates(), auto.allocation.aggregates());
-        assert_eq!(dinic.rounds, pr.rounds);
-        assert_eq!(dinic.rounds, auto.rounds);
-    }
+    assert_eq!(out.allocation.aggregates(), &[ri(1), ri(4), ri(9), ri(50)]);
+    assert_eq!(out.stats.rounds, 4);
+    assert_eq!(out.stats.contractions, 3);
+    assert_eq!(out.stats.active_job_rounds, 10);
+    assert_eq!(out.stats.active_site_rounds, 10);
 }
 
 #[test]

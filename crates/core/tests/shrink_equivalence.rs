@@ -1,18 +1,26 @@
-//! Property test for the shrinking-network solver core: the contracted
-//! path, the push–relabel backend, and the batch API must all agree with
-//! the legacy full-network Dinic solver — bit-exactly on [`Rational`],
-//! within tolerance on `f64` — and every one of the four outputs must earn
-//! the independent `amf-audit` certificate on random skewed instances.
+//! Property test for the shrinking-network solver: the contracted solve
+//! and the batch API are checked against oracles that share no code with
+//! the solver, on random skewed instances.
+//!
+//! * [`reference_aggregates`] (brute-force subset enumeration): equal bit
+//!   for bit on [`Rational`], within 1e-6 on `f64`;
+//! * the independent `amf-audit` certificate, for every output;
+//! * freeze-round consistency: levels never decrease, every job with
+//!   demand is frozen exactly once, a `DemandCapped` job holds its total
+//!   demand `D_j`, and a `Bottlenecked` job holds its level target
+//!   `u_j(level) = clamp(w_j · level, floor_j, D_j)`, strictly below `D_j`
+//!   — exactly on `Rational`.
 
 use amf_audit::audit;
-use amf_core::{AmfSolver, FairnessMode, FlowBackend, Instance, SolveOutput};
-use amf_numeric::Rational;
+use amf_core::{
+    reference_aggregates, AmfSolver, FairnessMode, FreezeReason, Instance, SolveOutput,
+};
+use amf_numeric::{max2, min2, Rational, Scalar};
 use proptest::prelude::*;
 
 /// Random skewed shapes: a few jobs are "elephants" whose demands are an
 /// order of magnitude above the rest, and some job/site cells are zeroed
-/// (data locality), which is what makes contraction and backend choice
-/// interesting.
+/// (data locality), which is what makes contraction interesting.
 fn skewed_shape() -> impl Strategy<Value = (Vec<i64>, Vec<Vec<i64>>, bool)> {
     (1usize..=6, 1usize..=4, 0u8..2).prop_flat_map(|(n, m, enhanced)| {
         (
@@ -38,6 +46,17 @@ fn skewed_shape() -> impl Strategy<Value = (Vec<i64>, Vec<Vec<i64>>, bool)> {
     })
 }
 
+fn instance<S: Scalar>(caps: &[i64], demands: &[Vec<i64>]) -> Instance<S> {
+    Instance::new(
+        caps.iter().map(|&c| S::from_ratio(c, 1)).collect(),
+        demands
+            .iter()
+            .map(|row| row.iter().map(|&d| S::from_ratio(d, 1)).collect())
+            .collect(),
+    )
+    .expect("positive capacities")
+}
+
 fn solver(enhanced: bool) -> AmfSolver {
     if enhanced {
         AmfSolver::enhanced()
@@ -54,97 +73,139 @@ fn mode(enhanced: bool) -> FairnessMode {
     }
 }
 
-/// The four solver configurations under test, in a fixed order:
-/// legacy full-network, contracted (default), contracted + push–relabel,
-/// and the batch API (which runs the contracted solver through a pool).
-fn four_ways<S: amf_numeric::Scalar>(
-    inst: &Instance<S>,
-    enhanced: bool,
-) -> Vec<(&'static str, SolveOutput<S>)> {
+/// The two ways to run the solver: a standalone solve, and the batch API
+/// (which runs it through a pooled worker).
+fn both_ways<S: Scalar>(inst: &Instance<S>, enhanced: bool) -> [(&'static str, SolveOutput<S>); 2] {
     let s = solver(enhanced);
     let batch = s
         .solve_batch_with(std::slice::from_ref(inst), 2)
         .pop()
         .expect("one instance in, one out");
-    vec![
-        ("full", s.without_contraction().solve(inst)),
-        ("contracted", s.solve(inst)),
-        (
-            "push-relabel",
-            s.with_flow_backend(FlowBackend::PushRelabel).solve(inst),
-        ),
-        ("batch", batch),
-    ]
+    [("solve", s.solve(inst)), ("batch", batch)]
+}
+
+/// Job `j`'s level target `u_j(t) = clamp(w_j t, floor_j, D_j)`, where the
+/// floor is zero in plain mode and the equal share (capped at `D_j`) in
+/// enhanced mode.
+fn level_target<S: Scalar>(inst: &Instance<S>, j: usize, enhanced: bool, t: S) -> S {
+    let ceil = inst.total_demand(j);
+    let floor = if enhanced {
+        min2(inst.equal_share(j), ceil)
+    } else {
+        S::ZERO
+    };
+    min2(max2(inst.weight(j) * t, floor), ceil)
+}
+
+/// The freeze-round consistency property, with `close` as the equality
+/// (exact on `Rational`, a tolerance on `f64`).
+fn check_rounds<S: Scalar>(
+    name: &str,
+    inst: &Instance<S>,
+    out: &SolveOutput<S>,
+    enhanced: bool,
+    close: impl Fn(S, S) -> bool,
+) {
+    for w in out.rounds.windows(2) {
+        prop_assert!(
+            w[0].level <= w[1].level || close(w[0].level, w[1].level),
+            "{} levels decrease: {} then {}",
+            name,
+            w[0].level,
+            w[1].level
+        );
+    }
+    let mut frozen = vec![0usize; inst.n_jobs()];
+    for round in &out.rounds {
+        for &(j, reason) in &round.frozen {
+            frozen[j] += 1;
+            let got = out.allocation.aggregate(j);
+            let demand = inst.total_demand(j);
+            let want = match reason {
+                FreezeReason::DemandCapped => demand,
+                FreezeReason::Bottlenecked => level_target(inst, j, enhanced, round.level),
+            };
+            if S::EXACT && reason == FreezeReason::Bottlenecked {
+                // The solver tests the demand cap first, so a bottlenecked
+                // job sits strictly below its demand.
+                prop_assert!(
+                    got < demand,
+                    "{} job {} bottlenecked at its demand",
+                    name,
+                    j
+                );
+            }
+            prop_assert!(
+                close(got, want),
+                "{} job {} frozen {:?} at level {} holds {}, expected {}",
+                name,
+                j,
+                reason,
+                round.level,
+                got,
+                want
+            );
+        }
+    }
+    for (j, &times) in frozen.iter().enumerate() {
+        // Jobs without demand start frozen at zero and join no round.
+        let expected = usize::from(inst.total_demand(j).is_positive());
+        prop_assert_eq!(times, expected, "{} job {} frozen {} times", name, j, times);
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Bit-exact agreement of all four paths on exact rationals, and a
-    /// full audit certificate for each.
+    /// Exact rationals: both paths equal the reference bit for bit, earn
+    /// the audit certificate, and explain themselves with exactly
+    /// consistent freeze rounds.
     #[test]
-    fn four_way_agreement_is_exact_on_rationals(
+    fn solver_matches_reference_exactly_on_rationals(
         (caps, demands, enhanced) in skewed_shape()
     ) {
-        let inst = Instance::new(
-            caps.iter().map(|&c| Rational::from_int(c as i128)).collect(),
-            demands
-                .iter()
-                .map(|row| row.iter().map(|&d| Rational::from_int(d as i128)).collect())
-                .collect(),
-        )
-        .expect("positive capacities");
-        let outs = four_ways(&inst, enhanced);
-        let (ref_name, ref_out) = &outs[0];
-        for (name, out) in &outs[1..] {
+        let inst: Instance<Rational> = instance(&caps, &demands);
+        let want = reference_aggregates(&inst, mode(enhanced));
+        for (name, out) in &both_ways(&inst, enhanced) {
             prop_assert_eq!(
                 out.allocation.aggregates(),
-                ref_out.allocation.aggregates(),
-                "{} disagrees with {}", name, ref_name
+                &want[..],
+                "{} disagrees with the reference", name
             );
-            prop_assert_eq!(&out.rounds, &ref_out.rounds, "{} rounds differ", name);
-        }
-        for (name, out) in &outs {
             let report = audit(&inst, &out.allocation, mode(enhanced));
             prop_assert!(
                 report.is_certified_amf(),
                 "{} output failed audit: {}", name, report.summary()
             );
+            check_rounds(name, &inst, out, enhanced, |a, b| a == b);
         }
     }
 
-    /// Tolerance agreement of all four paths on f64, each audit-certified.
+    /// Floating point: both paths match the reference within 1e-6, are
+    /// feasible and audit-certified, and their freeze rounds are
+    /// consistent within the same tolerance.
     #[test]
-    fn four_way_agreement_within_tolerance_on_f64(
+    fn solver_matches_reference_within_tolerance_on_f64(
         (caps, demands, enhanced) in skewed_shape()
     ) {
-        let inst = Instance::new(
-            caps.iter().map(|&c| c as f64).collect(),
-            demands
-                .iter()
-                .map(|row| row.iter().map(|&d| d as f64).collect())
-                .collect(),
-        )
-        .expect("positive capacities");
-        let outs = four_ways(&inst, enhanced);
-        let (ref_name, ref_out) = &outs[0];
-        for (name, out) in &outs[1..] {
-            for j in 0..inst.n_jobs() {
-                let a = out.allocation.aggregate(j);
-                let b = ref_out.allocation.aggregate(j);
+        let inst: Instance<f64> = instance(&caps, &demands);
+        let want = reference_aggregates(&inst, mode(enhanced));
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-6;
+        for (name, out) in &both_ways(&inst, enhanced) {
+            for (j, &w) in want.iter().enumerate() {
+                let got = out.allocation.aggregate(j);
                 prop_assert!(
-                    (a - b).abs() < 1e-6,
-                    "{} vs {} job {}: {} vs {}", name, ref_name, j, a, b
+                    close(got, w),
+                    "{} job {}: {} vs reference {}", name, j, got, w
                 );
             }
-        }
-        for (name, out) in &outs {
             prop_assert!(out.allocation.is_feasible(&inst), "{} infeasible", name);
             let report = audit(&inst, &out.allocation, mode(enhanced));
             prop_assert!(
                 report.is_certified_amf(),
                 "{} output failed audit: {}", name, report.summary()
             );
+            check_rounds(name, &inst, out, enhanced, close);
         }
     }
 }

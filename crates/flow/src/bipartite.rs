@@ -1,30 +1,9 @@
 //! The jobs-by-sites allocation network driven by the AMF solver.
 
+use crate::dinic;
 use crate::graph::{EdgeId, FlowNetwork, NodeId};
 use crate::scratch::FlowScratch;
-use crate::{dinic, push_relabel};
 use amf_numeric::{max2, min2, Scalar};
-
-/// Which max-flow kernel an [`AllocationNetwork`] runs.
-///
-/// Dinic augments from the current flow (supports warm starts) and wins on
-/// sparse demand graphs; FIFO push–relabel recomputes from scratch but
-/// tends to win on dense bipartite graphs. `Auto` picks per call: Dinic
-/// whenever a warm flow is present, otherwise by demand-edge density.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlowBackend {
-    /// Dinic's algorithm (default): warm-startable, strongly polynomial.
-    #[default]
-    Dinic,
-    /// FIFO push–relabel with the gap heuristic. Always recomputes from
-    /// scratch — pre-existing flow is cleared on every run.
-    PushRelabel,
-    /// Choose per call: Dinic when flow is already present (so warm starts
-    /// keep working), otherwise push–relabel on dense networks
-    /// (≥ half the job×site cells carry demand and the network is not
-    /// trivially small) and Dinic on sparse ones.
-    Auto,
-}
 
 /// Recycled [`AllocationNetwork`] side structures (edge-id maps, liveness
 /// flags), stashed in the [`FlowScratch`] by
@@ -55,7 +34,7 @@ pub(crate) struct AllocSpares {
 /// reachability sweeps are allocation-free; when the solver contracts to a
 /// smaller network it moves the arena over with
 /// [`take_scratch`](Self::take_scratch) /
-/// [`new_with_scratch`](Self::new_with_scratch).
+/// [`new_sparse_with_scratch`](Self::new_sparse_with_scratch).
 #[derive(Debug, Clone)]
 pub struct AllocationNetwork<S> {
     net: FlowNetwork<S>,
@@ -67,7 +46,6 @@ pub struct AllocationNetwork<S> {
     site_cap_edges: Vec<EdgeId>,
     /// Per job: `(site, edge)` for every strictly positive demand.
     demand_edges: Vec<Vec<(usize, EdgeId)>>,
-    n_demand_edges: usize,
     /// Node id of each job slot (stable across add/remove; appended jobs
     /// land after the site nodes, so the id is stored, not computed).
     job_nodes: Vec<NodeId>,
@@ -77,7 +55,6 @@ pub struct AllocationNetwork<S> {
     /// [`add_job`](Self::add_job) before any new node is appended.
     live: Vec<bool>,
     free_slots: Vec<usize>,
-    backend: FlowBackend,
     scratch: FlowScratch<S>,
 }
 
@@ -90,23 +67,6 @@ impl<S: Scalar> AllocationNetwork<S> {
     /// # Panics
     /// Panics on negative demands/capacities or ragged demand rows.
     pub fn new(demands: &[Vec<S>], capacities: &[S]) -> Self {
-        Self::new_with_scratch(
-            demands,
-            capacities,
-            FlowBackend::default(),
-            FlowScratch::new(),
-        )
-    }
-
-    /// [`new`](Self::new) with an explicit [`FlowBackend`] and a reused
-    /// [`FlowScratch`] arena (typically recovered from a retired network
-    /// via [`take_scratch`](Self::take_scratch)).
-    pub fn new_with_scratch(
-        demands: &[Vec<S>],
-        capacities: &[S],
-        backend: FlowBackend,
-        scratch: FlowScratch<S>,
-    ) -> Self {
         for row in demands {
             assert_eq!(
                 row.len(),
@@ -115,15 +75,17 @@ impl<S: Scalar> AllocationNetwork<S> {
             );
         }
         let rows = demands.iter().map(|row| row.iter().copied().enumerate());
-        Self::build(rows, capacities, backend, scratch)
+        Self::build(rows, capacities, FlowScratch::new())
     }
 
-    /// [`new_with_scratch`](Self::new_with_scratch) from sparse demand
-    /// rows: job `j`'s demands are `entries[offsets[j]..offsets[j + 1]]`,
-    /// as `(site, demand)` pairs in ascending site order, and every site
-    /// not listed has zero demand. Builds exactly the network the
-    /// equivalent dense rows give (the same edges in the same order), in
-    /// time linear in the listed entries rather than in jobs × sites.
+    /// [`new`](Self::new) from sparse demand rows, reusing a
+    /// [`FlowScratch`] arena (typically recovered from a retired network
+    /// via [`take_scratch`](Self::take_scratch)): job `j`'s demands are
+    /// `entries[offsets[j]..offsets[j + 1]]`, as `(site, demand)` pairs in
+    /// ascending site order, and every site not listed has zero demand.
+    /// Builds exactly the network the equivalent dense rows give (the same
+    /// edges in the same order), in time linear in the listed entries
+    /// rather than in jobs × sites.
     ///
     /// # Panics
     /// Panics on negative demands/capacities, on a site index out of range,
@@ -132,7 +94,6 @@ impl<S: Scalar> AllocationNetwork<S> {
         offsets: &[usize],
         entries: &[(usize, S)],
         capacities: &[S],
-        backend: FlowBackend,
         scratch: FlowScratch<S>,
     ) -> Self {
         assert!(!offsets.is_empty(), "sparse rows need offsets[0]");
@@ -143,7 +104,7 @@ impl<S: Scalar> AllocationNetwork<S> {
                 (s, d)
             })
         });
-        Self::build(rows, capacities, backend, scratch)
+        Self::build(rows, capacities, scratch)
     }
 
     /// Shared constructor body: one iterator of `(site, demand)` pairs per
@@ -151,7 +112,6 @@ impl<S: Scalar> AllocationNetwork<S> {
     fn build<R>(
         rows: impl ExactSizeIterator<Item = R>,
         capacities: &[S],
-        backend: FlowBackend,
         scratch: FlowScratch<S>,
     ) -> Self
     where
@@ -185,7 +145,6 @@ impl<S: Scalar> AllocationNetwork<S> {
         // cleared before filling.
         demand_edges.truncate(n_jobs);
         demand_edges.resize(n_jobs, Vec::new());
-        let mut n_demand_edges = 0;
         for (j, row) in rows.enumerate() {
             let edges = &mut demand_edges[j];
             edges.clear();
@@ -195,7 +154,6 @@ impl<S: Scalar> AllocationNetwork<S> {
                     edges.push((s, net.add_edge(job_node(j), site_node(s), d)));
                 }
             }
-            n_demand_edges += edges.len();
         }
         site_cap_edges.clear();
         site_cap_edges.extend(capacities.iter().enumerate().map(|(s, &c)| {
@@ -219,33 +177,20 @@ impl<S: Scalar> AllocationNetwork<S> {
             job_cap_edges,
             site_cap_edges,
             demand_edges,
-            n_demand_edges,
             job_nodes,
             site_nodes,
             live,
             free_slots,
-            backend,
             scratch,
         }
-    }
-
-    /// Replace the flow backend, returning `self` (builder style).
-    pub fn with_backend(mut self, backend: FlowBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The configured backend (before `Auto` resolution).
-    pub fn backend(&self) -> FlowBackend {
-        self.backend
     }
 
     /// Move the scratch arena out (leaving an empty one behind), so a
     /// successor network can inherit its buffers and counters. The
     /// retiring network's edge arena is salvaged into the scratch on the
     /// way out (this network must not be used again), letting
-    /// [`new_with_scratch`](Self::new_with_scratch) rebuild without
-    /// allocating.
+    /// [`new_sparse_with_scratch`](Self::new_sparse_with_scratch) rebuild
+    /// without allocating.
     pub fn take_scratch(&mut self) -> FlowScratch<S> {
         self.net.salvage_into(&mut self.scratch);
         self.scratch.alloc_spares = AllocSpares {
@@ -265,21 +210,6 @@ impl<S: Scalar> AllocationNetwork<S> {
         &self.scratch
     }
 
-    /// Number of jobs.
-    pub fn n_jobs(&self) -> usize {
-        self.n_jobs
-    }
-
-    /// Number of sites.
-    pub fn n_sites(&self) -> usize {
-        self.n_sites
-    }
-
-    /// Number of strictly positive demand edges.
-    pub fn demand_edge_count(&self) -> usize {
-        self.n_demand_edges
-    }
-
     /// Set job `j`'s source cap (its water-level target `u_j`).
     ///
     /// Shrinking a cap below the current flow requires
@@ -288,53 +218,17 @@ impl<S: Scalar> AllocationNetwork<S> {
         self.net.set_capacity(self.job_cap_edges[j], cap);
     }
 
-    /// Current source cap of job `j`.
-    pub fn job_cap(&self, j: usize) -> S {
-        self.net.capacity(self.job_cap_edges[j])
-    }
-
     /// Zero all flows (capacities are kept).
     pub fn reset_flow(&mut self) {
         self.net.reset_flow();
     }
 
-    /// Compute a maximum flow with the configured [`FlowBackend`],
-    /// returning the **total** flow now leaving the source. Dinic augments
-    /// on top of any existing flow; push–relabel recomputes from scratch.
+    /// Compute a maximum flow with Dinic's algorithm, augmenting on top of
+    /// any existing flow, and return the **total** flow now leaving the
+    /// source.
     pub fn run_max_flow(&mut self) -> S {
-        let backend = match self.backend {
-            FlowBackend::Auto => self.resolve_auto(),
-            b => b,
-        };
-        match backend {
-            FlowBackend::Dinic | FlowBackend::Auto => {
-                dinic::max_flow_with(&mut self.net, self.source, self.sink, &mut self.scratch);
-            }
-            FlowBackend::PushRelabel => {
-                push_relabel::max_flow_with(
-                    &mut self.net,
-                    self.source,
-                    self.sink,
-                    &mut self.scratch,
-                );
-            }
-        }
+        dinic::max_flow_with(&mut self.net, self.source, self.sink, &mut self.scratch);
         self.total_flow()
-    }
-
-    /// The kernel `Auto` would pick right now (also used by diagnostics).
-    pub fn resolve_auto(&self) -> FlowBackend {
-        // A present flow means the caller is warm-starting: only Dinic
-        // augments incrementally, so switching kernels would discard it.
-        if self.total_flow().is_positive() {
-            return FlowBackend::Dinic;
-        }
-        let cells = self.n_jobs * self.n_sites;
-        if cells >= 256 && 2 * self.n_demand_edges >= cells {
-            FlowBackend::PushRelabel
-        } else {
-            FlowBackend::Dinic
-        }
     }
 
     /// Total flow currently leaving the source.
@@ -373,8 +267,8 @@ impl<S: Scalar> AllocationNetwork<S> {
 
     /// Write the full split into a caller-provided matrix, reusing its row
     /// allocations — the allocation-free form of
-    /// [`split_matrix`](Self::split_matrix) used by the solver's final
-    /// split step.
+    /// [`split_matrix`](Self::split_matrix) used by the incremental
+    /// session.
     pub fn split_into(&self, out: &mut Vec<Vec<S>>) {
         out.resize(self.n_jobs, Vec::new());
         for (j, row) in out.iter_mut().enumerate() {
@@ -439,15 +333,8 @@ impl<S: Scalar> AllocationNetwork<S> {
     }
 
     /// After a max flow: the jobs on the **source side** of the minimum cut
-    /// (i.e. the violating set when the current level is infeasible).
-    pub fn source_side_jobs(&mut self) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.source_side_jobs_into(&mut out);
-        out
-    }
-
-    /// [`source_side_jobs`](Self::source_side_jobs) into a caller-provided
-    /// buffer (resized to `n_jobs`); allocation-free on the hot path.
+    /// (i.e. the violating set when the current level is infeasible), into
+    /// a caller-provided buffer (resized to the job count).
     pub fn source_side_jobs_into(&mut self, out: &mut Vec<bool>) {
         self.net
             .residual_reachable_with(self.source, &mut self.scratch);
@@ -459,20 +346,10 @@ impl<S: Scalar> AllocationNetwork<S> {
         );
     }
 
-    /// After a max flow: for each job, whether its node still has a residual
-    /// path to the sink — i.e. whether the job's allocation could grow if
-    /// its source cap were raised. Jobs without such a path are bottlenecked
-    /// and freeze at the current level.
-    pub fn jobs_with_residual_to_sink(&mut self) -> Vec<bool> {
-        let mut jobs = Vec::new();
-        let mut sites = Vec::new();
-        self.sink_reachability_into(&mut jobs, &mut sites);
-        jobs
-    }
-
     /// After a max flow: which job nodes and which site nodes still have a
     /// residual path to the sink, into caller-provided buffers (each
-    /// resized). Jobs outside the set are bottlenecked; sites outside the
+    /// resized). A job in the set could grow if its source cap were raised;
+    /// jobs outside it are bottlenecked; sites outside the
     /// set can never absorb more flow at any higher water level, which is
     /// what licenses contracting them out of the network.
     pub fn sink_reachability_into(&mut self, jobs: &mut Vec<bool>, sites: &mut Vec<bool>) {
@@ -499,11 +376,6 @@ impl<S: Scalar> AllocationNetwork<S> {
     // is *drained* — cancelled edge-locally along source→job→site→sink
     // triples, which preserves conservation at every intermediate state —
     // and the next `run_max_flow` only augments the difference.
-
-    /// Whether slot `j` currently holds a live job.
-    pub fn is_live(&self, j: usize) -> bool {
-        self.live[j]
-    }
 
     /// Add a job with the given demand row and a zero source cap, reusing a
     /// retired slot when one exists (its node and source edge come back into
@@ -540,7 +412,6 @@ impl<S: Scalar> AllocationNetwork<S> {
             if d.is_positive() {
                 let e = self.net.add_edge(node, self.site_nodes[s], d);
                 self.demand_edges[j].push((s, e));
-                self.n_demand_edges += 1;
             }
         }
         self.live[j] = true;
@@ -565,9 +436,6 @@ impl<S: Scalar> AllocationNetwork<S> {
             if v > S::ZERO {
                 self.net.remove_flow(e, v);
                 self.net.remove_flow(self.site_cap_edges[s], v);
-            }
-            if self.net.capacity(e).is_positive() {
-                self.n_demand_edges -= 1;
             }
             self.net.set_capacity(e, S::ZERO);
         }
@@ -619,11 +487,6 @@ impl<S: Scalar> AllocationNetwork<S> {
         self.net.set_capacity(edge, max2(capacity, f));
     }
 
-    /// Current capacity of site `s`'s edge to the sink.
-    pub fn site_capacity(&self, s: usize) -> S {
-        self.net.capacity(self.site_cap_edges[s])
-    }
-
     /// Change job `j`'s demand at site `s` in place. Lowering below the
     /// edge's current flow drains the excess first; raising a demand that
     /// was previously zero appends a fresh edge.
@@ -639,7 +502,6 @@ impl<S: Scalar> AllocationNetwork<S> {
         }
         match found {
             Some(e) => {
-                let had = self.net.capacity(e).is_positive();
                 let excess = self.net.flow(e) - demand;
                 if excess.is_positive() {
                     self.net.remove_flow(e, excess);
@@ -648,11 +510,6 @@ impl<S: Scalar> AllocationNetwork<S> {
                 }
                 let f = self.net.flow(e);
                 self.net.set_capacity(e, max2(demand, f));
-                match (had, self.net.capacity(e).is_positive()) {
-                    (false, true) => self.n_demand_edges += 1,
-                    (true, false) => self.n_demand_edges -= 1,
-                    _ => {}
-                }
             }
             None => {
                 if demand.is_positive() {
@@ -660,7 +517,6 @@ impl<S: Scalar> AllocationNetwork<S> {
                         .net
                         .add_edge(self.job_nodes[j], self.site_nodes[s], demand);
                     self.demand_edges[j].push((s, e));
-                    self.n_demand_edges += 1;
                 }
             }
         }
@@ -751,16 +607,6 @@ impl<S: Scalar> AllocationNetwork<S> {
             }
         }
     }
-
-    /// Residual capacity of site `s`'s edge to the sink.
-    pub fn site_residual(&self, s: usize) -> S {
-        self.net.residual(self.site_cap_edges[s])
-    }
-
-    /// Immutable access to the underlying network (for diagnostics/tests).
-    pub fn network(&self) -> &FlowNetwork<S> {
-        &self.net
-    }
 }
 
 #[cfg(test)]
@@ -770,6 +616,30 @@ mod tests {
 
     fn r(n: i128) -> Rational {
         Rational::from_int(n)
+    }
+
+    /// Which jobs still have a residual path to the sink.
+    fn growable_jobs<S: Scalar>(net: &mut AllocationNetwork<S>) -> Vec<bool> {
+        let (mut jobs, mut sites) = (Vec::new(), Vec::new());
+        net.sink_reachability_into(&mut jobs, &mut sites);
+        jobs
+    }
+
+    fn job_cap<S: Scalar>(net: &AllocationNetwork<S>, j: usize) -> S {
+        net.net.capacity(net.job_cap_edges[j])
+    }
+
+    fn site_cap<S: Scalar>(net: &AllocationNetwork<S>, s: usize) -> S {
+        net.net.capacity(net.site_cap_edges[s])
+    }
+
+    /// Demand edges that can still carry flow (retired ones sit at zero).
+    fn open_demand_edges<S: Scalar>(net: &AllocationNetwork<S>) -> usize {
+        net.demand_edges
+            .iter()
+            .flatten()
+            .filter(|&&(_, e)| net.net.capacity(e).is_positive())
+            .count()
     }
 
     /// Two jobs, one site of capacity 10; both demand 10 there.
@@ -822,10 +692,11 @@ mod tests {
         net.set_job_cap(0, 10.0);
         net.set_job_cap(1, 10.0);
         net.run_max_flow();
-        let side = net.source_side_jobs();
+        let mut side = Vec::new();
+        net.source_side_jobs_into(&mut side);
         assert!(side[0], "bottlenecked job must be on the source side");
         assert!(!side[1]);
-        let grow = net.jobs_with_residual_to_sink();
+        let grow = growable_jobs(&mut net);
         assert!(!grow[0]);
         // Job 1 is capped by its source edge, not by the site: it could grow.
         assert!(grow[1]);
@@ -895,69 +766,10 @@ mod tests {
         AllocationNetwork::new(&[vec![1.0], vec![1.0, 2.0]], &[1.0]);
     }
 
-    #[test]
-    fn site_residual_reports_slack() {
-        let demands = vec![vec![2.0]];
-        let mut net = AllocationNetwork::new(&demands, &[5.0]);
-        net.set_job_cap(0, 2.0);
-        net.run_max_flow();
-        assert!((net.site_residual(0) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn backends_agree_on_allocation_networks() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..40 {
-            let n = rng.gen_range(1..9usize);
-            let m = rng.gen_range(1..6usize);
-            let demands: Vec<Vec<f64>> = (0..n)
-                .map(|_| (0..m).map(|_| rng.gen_range(0..8) as f64).collect())
-                .collect();
-            let caps: Vec<f64> = (0..m).map(|_| rng.gen_range(0..20) as f64).collect();
-            let caps_per_job: Vec<f64> =
-                (0..n).map(|_| rng.gen_range(0..10) as f64 + 0.5).collect();
-            let mut values = Vec::new();
-            for backend in [
-                FlowBackend::Dinic,
-                FlowBackend::PushRelabel,
-                FlowBackend::Auto,
-            ] {
-                let mut net = AllocationNetwork::new(&demands, &caps).with_backend(backend);
-                for (j, &c) in caps_per_job.iter().enumerate() {
-                    net.set_job_cap(j, c);
-                }
-                values.push(net.run_max_flow());
-            }
-            for w in values.windows(2) {
-                assert!((w[0] - w[1]).abs() < 1e-9, "backends disagree: {values:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn auto_prefers_dinic_when_warm() {
-        // Dense enough that a cold Auto picks push–relabel...
-        let n = 20;
-        let m = 20;
-        let demands: Vec<Vec<f64>> = vec![vec![1.0; m]; n];
-        let caps = vec![5.0; m];
-        let net = AllocationNetwork::new(&demands, &caps).with_backend(FlowBackend::Auto);
-        assert_eq!(net.resolve_auto(), FlowBackend::PushRelabel);
-        // ...but a warm flow forces Dinic so the preload is not discarded.
-        let mut net = net;
-        net.set_job_cap(0, 1.0);
-        let mut x = vec![vec![0.0; m]; n];
-        x[0][0] = 0.5;
-        net.preload_split(&x);
-        assert_eq!(net.resolve_auto(), FlowBackend::Dinic);
-    }
-
     /// Conservation at every non-terminal node (drain repair must keep it).
     fn assert_conserved(net: &AllocationNetwork<f64>) {
-        for v in 2..net.network().node_count() {
-            let out = net.network().net_outflow(v as NodeId);
+        for v in 2..net.net.node_count() {
+            let out = net.net.net_outflow(v as NodeId);
             assert!(out.abs() < 1e-9, "conservation violated at node {v}: {out}");
         }
     }
@@ -970,7 +782,7 @@ mod tests {
         net.set_job_cap(1, 8.0);
         assert!((net.run_max_flow() - 10.0).abs() < 1e-12);
         net.remove_job(0);
-        assert!(!net.is_live(0));
+        assert!(!net.live[0]);
         assert_conserved(&net);
         assert_eq!(net.job_flow(0), 0.0);
         // Job 1 keeps its warm flow and can now grow into freed capacity.
@@ -980,7 +792,7 @@ mod tests {
         // The freed slot is reused by the next add_job.
         let slot = net.add_job(&[1.0, 1.0]);
         assert_eq!(slot, 0);
-        assert!(net.is_live(0));
+        assert!(net.live[0]);
         net.set_job_cap(0, 2.0);
         let total = net.run_max_flow();
         assert!((total - 10.0).abs() < 1e-12, "got {total}");
@@ -995,17 +807,17 @@ mod tests {
         net.run_max_flow();
         let j = net.add_job(&[5.0]);
         assert_eq!(j, 1);
-        assert_eq!(net.n_jobs(), 2);
+        assert_eq!(net.n_jobs, 2);
         net.set_job_cap(j, 5.0);
         let total = net.run_max_flow();
         assert!((total - 7.0).abs() < 1e-12);
         // Reachability buffers must track the appended node id: both jobs
         // are fully satisfied (demand edges saturated), so neither grows,
         // and the vector covers the appended slot.
-        let grow = net.jobs_with_residual_to_sink();
+        let grow = growable_jobs(&mut net);
         assert_eq!(grow, vec![false, false]);
         net.set_demand(j, 0, 9.0);
-        let grow = net.jobs_with_residual_to_sink();
+        let grow = growable_jobs(&mut net);
         assert_eq!(grow, vec![false, true], "raised demand reopens growth");
     }
 
@@ -1018,7 +830,7 @@ mod tests {
         assert!((net.run_max_flow() - 12.0).abs() < 1e-12);
         net.set_site_capacity(0, 5.0);
         assert_conserved(&net);
-        assert!((net.site_capacity(0) - 5.0).abs() < 1e-9);
+        assert!((site_cap(&net, 0) - 5.0).abs() < 1e-9);
         let total = net.total_flow();
         assert!(total <= 5.0 + 1e-9, "drained flow {total} exceeds new cap");
         // Remaining flow is still a valid warm start.
@@ -1042,20 +854,20 @@ mod tests {
         let mut net = AllocationNetwork::new(&demands, &[10.0, 10.0]);
         net.set_job_cap(0, 4.0);
         assert!((net.run_max_flow() - 4.0).abs() < 1e-12);
-        assert_eq!(net.demand_edge_count(), 1);
+        assert_eq!(open_demand_edges(&net), 1);
         // Lowering below committed flow drains the edge.
         net.set_demand(0, 0, 1.0);
         assert_conserved(&net);
         assert!(net.job_flow(0) <= 1.0 + 1e-12);
         // A previously-zero demand gets a fresh edge.
         net.set_demand(0, 1, 3.0);
-        assert_eq!(net.demand_edge_count(), 2);
+        assert_eq!(open_demand_edges(&net), 2);
         let total = net.run_max_flow();
         assert!((total - 4.0).abs() < 1e-12, "got {total}");
-        // Lowering to zero retires the edge from the density count.
+        // Lowering to zero closes the edge.
         net.set_demand(0, 1, 0.0);
         assert_conserved(&net);
-        assert_eq!(net.demand_edge_count(), 1);
+        assert_eq!(open_demand_edges(&net), 1);
         assert!(net.job_flow(0) <= 1.0 + 1e-12);
     }
 
@@ -1069,7 +881,7 @@ mod tests {
         net.drain_job_to_cap(0, 4.0);
         assert_conserved(&net);
         assert!((net.job_flow(0) - 4.0).abs() < 1e-9);
-        assert!((net.job_cap(0) - 4.0).abs() < 1e-9);
+        assert!((job_cap(&net, 0) - 4.0).abs() < 1e-9);
         assert!(
             (net.job_flow(1) - 2.0).abs() < 1e-12,
             "job 1 flow untouched"
@@ -1088,13 +900,13 @@ mod tests {
         assert_eq!(net.run_max_flow(), r(6));
         net.set_site_capacity(0, r(4));
         assert_eq!(net.total_flow(), r(4), "exact drain to the new capacity");
-        assert_eq!(net.site_capacity(0), r(4));
+        assert_eq!(site_cap(&net, 0), r(4));
         net.remove_job(1);
         assert_eq!(net.total_flow(), net.job_flow(0));
         assert_eq!(net.run_max_flow(), r(3), "freed capacity reabsorbed");
         net.drain_job_to_cap(0, Rational::new(3, 2));
         assert_eq!(net.job_flow(0), Rational::new(3, 2));
-        assert_eq!(net.job_cap(0), Rational::new(3, 2));
+        assert_eq!(job_cap(&net, 0), Rational::new(3, 2));
     }
 
     #[test]
@@ -1118,7 +930,7 @@ mod tests {
         let scratch = net.take_scratch();
         // Successor network inherits buffers and counters.
         let mut small =
-            AllocationNetwork::new_with_scratch(&[vec![4.0]], &[4.0], FlowBackend::Dinic, scratch);
+            AllocationNetwork::new_sparse_with_scratch(&[0, 1], &[(0, 4.0)], &[4.0], scratch);
         small.set_job_cap(0, 4.0);
         small.run_max_flow();
         assert!(small.scratch().edges_visited() > visited);
@@ -1151,10 +963,9 @@ mod tests {
             &offsets,
             &entries,
             &caps,
-            FlowBackend::Dinic,
             FlowScratch::new(),
         );
-        assert_eq!(sparse.demand_edge_count(), dense.demand_edge_count());
+        assert_eq!(open_demand_edges(&sparse), open_demand_edges(&dense));
         for net in [&mut dense, &mut sparse] {
             for j in 0..3 {
                 net.set_job_cap(j, 10.0);
@@ -1165,7 +976,7 @@ mod tests {
             let listed = offsets[j]..offsets[j + 1];
             sparse.preload_job_split(j, entries[listed].iter().map(|&(s, _)| (s, row[s])));
         }
-        let (a, b) = (dense.network(), sparse.network());
+        let (a, b) = (&dense.net, &sparse.net);
         assert_eq!(a.edge_count(), b.edge_count());
         for e in 0..a.edge_count() as EdgeId {
             assert_eq!(a.head(e), b.head(e));

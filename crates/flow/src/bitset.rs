@@ -1,7 +1,7 @@
 //! Fixed-width bitset frontiers for the flow kernels.
 //!
 //! The kernels' visited/membership sets (`residual_reachable` marks, BFS
-//! `seen`, push–relabel FIFO membership) used to be `Vec<bool>` — one byte
+//! `seen`) used to be `Vec<bool>` — one byte
 //! per node, refilled element-by-element on every sweep. [`BitSet`] packs
 //! them 64 nodes to a word, so clearing an n-node frontier touches
 //! `⌈n/64⌉` words instead of `n` bytes and membership tests stay a single

@@ -10,7 +10,7 @@
 //!
 //! The kernel traverses the CSR adjacency view cached in the scratch
 //! (rebuilt only when the network structure changed) and tracks level-graph
-//! membership in a word-packed [`BitSet`](crate::BitSet): the BFS clears
+//! membership in a word-packed [`BitSet`]: the BFS clears
 //! one bitset word per 64 nodes instead of refilling a `level` array, and
 //! the flat BFS queue doubles as the list of reached nodes, so per-phase
 //! setup touches only the reached subgraph.

@@ -152,7 +152,7 @@ impl<S: Scalar> FlowNetwork<S> {
 
     /// [`new`](Self::new) reusing the edge-arena buffers salvaged into
     /// `scratch` by a retired network (see
-    /// [`FlowScratch::store_edge_buffers`]), so rebuild-heavy callers (the
+    /// [`salvage_into`](Self::salvage_into)), so rebuild-heavy callers (the
     /// solver's per-round contraction) allocate nothing in steady state.
     pub fn new_reusing(n: usize, scratch: &mut FlowScratch<S>) -> Self {
         let (mut to, mut cap, mut flow) = scratch.take_edge_buffers();

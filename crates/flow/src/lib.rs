@@ -15,11 +15,6 @@
 //!   [`Scalar`](amf_numeric::Scalar) numeric type (exact or `f64`);
 //! * [`dinic::max_flow`] — Dinic's algorithm (strongly polynomial, supports
 //!   warm starts from an existing feasible flow);
-//! * [`push_relabel::max_flow`] — FIFO push–relabel with the gap
-//!   heuristic, cross-checked against Dinic in tests and selectable as a
-//!   production backend;
-//! * [`FlowBackend`] — which kernel an allocation network runs (`Dinic`,
-//!   `PushRelabel`, or density-based `Auto`);
 //! * [`FlowScratch`] — a reusable arena for the kernels' per-node working
 //!   state (including the cached CSR adjacency view and the [`BitSet`]
 //!   frontiers), making repeated max flows allocation-free;
@@ -44,10 +39,9 @@ mod bipartite;
 mod bitset;
 pub mod dinic;
 mod graph;
-pub mod push_relabel;
 mod scratch;
 
-pub use bipartite::{AllocationNetwork, FlowBackend};
+pub use bipartite::AllocationNetwork;
 pub use bitset::BitSet;
 pub use graph::{EdgeId, FlowNetwork, NodeId};
 pub use scratch::FlowScratch;

@@ -1,13 +1,12 @@
 //! Reusable scratch buffers for the flow kernels.
 //!
 //! Every max-flow call needs per-node working state: BFS levels and queue,
-//! DFS edge cursors, reachability marks, push–relabel heights and excesses.
+//! DFS edge cursors, reachability marks.
 //! Allocating that state on every call dominates the cost of small repeated
 //! solves — the AMF solver runs dozens of max flows per instance and the
 //! sim engine thousands per trace. [`FlowScratch`] owns the buffers once
-//! and is threaded through [`dinic::max_flow_with`](crate::dinic::max_flow_with),
-//! [`push_relabel::max_flow_with`](crate::push_relabel::max_flow_with) and
-//! the [`AllocationNetwork`](crate::AllocationNetwork) helpers, so
+//! and is threaded through [`dinic::max_flow_with`](crate::dinic::max_flow_with)
+//! and the [`AllocationNetwork`](crate::AllocationNetwork) helpers, so
 //! steady-state kernel calls are allocation-free.
 //!
 //! Since the CSR lowering, the scratch also owns the cached [`Csr`]
@@ -21,7 +20,6 @@ use crate::bipartite::AllocSpares;
 use crate::bitset::BitSet;
 use crate::graph::{Csr, SeenKey};
 use amf_numeric::Scalar;
-use std::collections::VecDeque;
 
 /// Reusable working memory for the max-flow kernels and the reachability
 /// helpers.
@@ -46,8 +44,6 @@ pub struct FlowScratch<S> {
     /// Dinic BFS queue: flat vector scanned by a head index, doubling as
     /// the list of reached nodes.
     pub(crate) queue: Vec<u32>,
-    /// Push–relabel FIFO of active nodes.
-    pub(crate) fifo: VecDeque<u32>,
     /// Visited/membership marks (Dinic level graph, reachability sweeps).
     pub(crate) seen: BitSet,
     /// Provenance of the current `seen` contents: which network state and
@@ -58,14 +54,6 @@ pub struct FlowScratch<S> {
     pub(crate) seen_sweeps_skipped: u64,
     /// DFS stack for reachability sweeps.
     pub(crate) stack: Vec<u32>,
-    /// Push–relabel heights.
-    pub(crate) height: Vec<u32>,
-    /// Push–relabel excesses.
-    pub(crate) excess: Vec<S>,
-    /// Push–relabel FIFO membership marks.
-    pub(crate) in_queue: BitSet,
-    /// Push–relabel gap-heuristic population count per height.
-    pub(crate) gap: Vec<u32>,
     /// Recycled allocation-network side structures (edge-id maps, liveness
     /// flags) from a retired [`AllocationNetwork`](crate::AllocationNetwork),
     /// reused on the next rebuild.
@@ -91,15 +79,10 @@ impl<S: Scalar> FlowScratch<S> {
             level: Vec::new(),
             iter: Vec::new(),
             queue: Vec::new(),
-            fifo: VecDeque::new(),
             seen: BitSet::new(),
             seen_key: SeenKey::default(),
             seen_sweeps_skipped: 0,
             stack: Vec::new(),
-            height: Vec::new(),
-            excess: Vec::new(),
-            in_queue: BitSet::new(),
-            gap: Vec::new(),
             alloc_spares: AllocSpares::default(),
             spare_to: Vec::new(),
             spare_cap: Vec::new(),
@@ -114,18 +97,11 @@ impl<S: Scalar> FlowScratch<S> {
     /// stale; each kernel initializes what it reads (the bitsets size
     /// themselves on their own `reset`).
     pub(crate) fn ensure_nodes(&mut self, n: usize) {
-        if self.level.capacity() >= n && self.iter.capacity() >= n && self.height.capacity() >= n {
+        if self.level.capacity() >= n && self.iter.capacity() >= n {
             self.reuse_hits += 1;
         }
         self.level.resize(n, u32::MAX);
         self.iter.resize(n, 0);
-        self.height.resize(n, 0);
-        self.excess.resize(n, S::ZERO);
-        // Push–relabel heights range over `0..=2n + 1`.
-        let heights = 2 * n + 2;
-        if self.gap.len() < heights {
-            self.gap.resize(heights, 0);
-        }
     }
 
     /// Whether node `v` was marked by the most recent kernel call or
@@ -158,7 +134,7 @@ impl<S: Scalar> FlowScratch<S> {
     /// Total 64-bit words zeroed by frontier-bitset resets since the last
     /// counter reset (the whole cost of clearing visited sets).
     pub fn bitset_words_cleared(&self) -> u64 {
-        self.seen.words_cleared() + self.in_queue.words_cleared()
+        self.seen.words_cleared()
     }
 
     /// Reachability sweeps answered from a still-valid previous sweep (no
@@ -174,7 +150,6 @@ impl<S: Scalar> FlowScratch<S> {
         self.csr.rebuilds = 0;
         self.seen_sweeps_skipped = 0;
         self.seen.reset_counter();
-        self.in_queue.reset_counter();
     }
 
     /// Stash a retired network's edge-arena buffers for reuse by

@@ -5,10 +5,11 @@
 //! snapshot cached in [`FlowScratch`] — so these tests drive random build
 //! and delta sequences through both representations and demand agreement
 //! on everything observable: the per-node edge multiset, residual
-//! reachability, and the max-flow value under all kernels, for `f64` and
-//! exact [`Rational`] scalars alike.
+//! reachability, and the max-flow value, which must equal the capacity of
+//! the model's residual-reachable cut, for `f64` and exact [`Rational`]
+//! scalars alike.
 
-use amf_flow::{dinic, push_relabel, EdgeId, FlowNetwork, FlowScratch, NodeId};
+use amf_flow::{dinic, EdgeId, FlowNetwork, FlowScratch, NodeId};
 use amf_numeric::{Rational, Scalar};
 use proptest::prelude::*;
 
@@ -100,6 +101,19 @@ impl Model {
         }
         seen
     }
+
+    /// Capacity of the cut the model's residual reachability from `src`
+    /// induces: every forward arc leaving the reached set.
+    fn reachable_cut<S: Scalar>(&self, net: &FlowNetwork<S>, src: usize) -> S {
+        let side = self.residual_reachable(net, src);
+        let mut cut = S::ZERO;
+        for (k, &(from, to)) in self.arcs.iter().enumerate() {
+            if side[from] && !side[to] {
+                cut += net.capacity((2 * k) as EdgeId);
+            }
+        }
+        cut
+    }
 }
 
 /// Drive one scenario against a network of scalar type `S`, checking the
@@ -116,7 +130,7 @@ fn check_scenario<S: Scalar>(n: usize, edges: &[(usize, usize, i64)], deltas: &[
     }
     let mut scratch: FlowScratch<S> = FlowScratch::new();
     check_state(&net, &model);
-    run_kernels(&mut net, &mut scratch);
+    run_kernels(&mut net, &mut scratch, &model);
     prop_assert_eq!(
         scratch.csr_rebuilds(),
         1,
@@ -154,7 +168,7 @@ fn check_scenario<S: Scalar>(n: usize, edges: &[(usize, usize, i64)], deltas: &[
         // Capacity and flow deltas must be served from the cached CSR; only
         // structural deltas may trigger a rebuild (exactly one).
         let rebuilds_before = scratch.csr_rebuilds();
-        run_kernels(&mut net, &mut scratch);
+        run_kernels(&mut net, &mut scratch, &model);
         let rebuilt = scratch.csr_rebuilds() - rebuilds_before;
         prop_assert_eq!(rebuilt, u64::from(structural), "delta {:?}", d);
     }
@@ -179,26 +193,34 @@ fn check_state<S: Scalar>(net: &FlowNetwork<S>, model: &Model) {
     }
 }
 
-/// Kernel agreement for the current state: Dinic through the persistent
+/// Kernel checks for the current state: Dinic through the persistent
 /// scratch (on the arena itself, so CSR cache hits/misses are observable)
-/// vs cold Dinic and push-relabel on clones starting from identical flow.
-fn run_kernels<S: Scalar>(net: &mut FlowNetwork<S>, scratch: &mut FlowScratch<S>) {
+/// vs cold Dinic on a clone starting from identical flow, and the total
+/// source outflow against the model's min-cut capacity (max-flow/min-cut
+/// duality certifies it optimal).
+fn run_kernels<S: Scalar>(net: &mut FlowNetwork<S>, scratch: &mut FlowScratch<S>, model: &Model) {
     let mut cold = net.clone();
-    let mut pr = net.clone();
     let warm_v = dinic::max_flow_with(net, 0, 1, scratch);
     let cold_v = dinic::max_flow(&mut cold, 0, 1);
     // Dinic augments on top of whatever flow the previous round left, so
-    // compare the additional flow across the two Dinic paths and the total
-    // source outflow against push-relabel (which restarts from zero).
-    let pr_v = push_relabel::max_flow(&mut pr, 0, 1);
+    // the two Dinic paths are compared on the additional flow.
     prop_assert_eq!(&warm_v, &cold_v, "scratch-cached CSR changed Dinic");
-    let total = net.net_outflow(0);
     prop_assert!(
-        (total.to_f64() - pr_v.to_f64()).abs() < 1e-9,
-        "Dinic total {:?} vs push-relabel {:?}",
-        total,
-        pr_v
+        !model.residual_reachable(net, 0)[1],
+        "sink reachable after max flow"
     );
+    let total = net.net_outflow(0);
+    let cut = model.reachable_cut(net, 0);
+    if S::EXACT {
+        prop_assert_eq!(&total, &cut, "max-flow != min-cut");
+    } else {
+        prop_assert!(
+            (total.to_f64() - cut.to_f64()).abs() < 1e-9,
+            "Dinic total {:?} vs min-cut capacity {:?}",
+            total,
+            cut
+        );
+    }
 }
 
 proptest! {
@@ -210,8 +232,8 @@ proptest! {
         check_scenario::<Rational>(n, &edges, &deltas);
     }
 
-    /// Floating point: same structural agreements; kernel values compared
-    /// within tolerance only across kernels (Dinic vs Dinic is exact).
+    /// Floating point: same structural agreements; the flow is compared
+    /// with the cut capacity within tolerance (Dinic vs Dinic is exact).
     #[test]
     fn csr_matches_arena_f64((n, edges, deltas) in scenario()) {
         check_scenario::<f64>(n, &edges, &deltas);

@@ -5,7 +5,7 @@
 //! and capacities, what is the max-min fair allocation? A scheduler wants
 //! that question answered *continuously*: jobs arrive and finish, demands
 //! shrink as work completes, and many independent clusters (tenants) need
-//! answers at once. This crate wraps [`IncrementalAmf`] sessions in a
+//! answers at once. This crate wraps [`IncrementalAmf`](amf_core::IncrementalAmf) sessions in a
 //! small std-only TCP service:
 //!
 //! * **framing** ([`frame`]) — 4-byte length-prefixed JSON frames with a

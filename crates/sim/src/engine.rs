@@ -3,7 +3,7 @@
 use crate::dynamic::SessionCtx;
 use crate::report::{JobOutcome, SimReport};
 use crate::split::{balanced_progress_split, SplitStrategy};
-use amf_core::{AllocationPolicy, Delta, Instance, JobId, SolveStats, SolverPool};
+use amf_core::{par_map_init, AllocationPolicy, Delta, Instance, JobId, SolveStats, SolverPool};
 use amf_workload::trace::Trace;
 
 /// Work below this absolute threshold counts as finished (the trace
@@ -252,48 +252,10 @@ pub fn simulate_many<F>(traces: &[Trace], make_policy: F, config: &SimConfig) ->
 where
     F: Fn() -> Box<dyn AllocationPolicy<f64>> + Sync,
 {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(traces.len().max(1));
-    if threads <= 1 {
-        let policy = make_policy();
-        return traces
-            .iter()
-            .map(|t| simulate(t, policy.as_ref(), config))
-            .collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<SimReport>> = traces.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let make_policy = &make_policy;
-                scope.spawn(move || {
-                    let policy = make_policy();
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= traces.len() {
-                            break;
-                        }
-                        done.push((i, simulate(&traces[i], policy.as_ref(), config)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, report) in handle.join().expect("simulation worker panicked") {
-                slots[i] = Some(report);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every trace simulated"))
-        .collect()
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    par_map_init(traces, threads, make_policy, |policy, trace| {
+        simulate(trace, policy.as_ref(), config)
+    })
 }
 
 /// Simulate `trace` under a work-aware [`DynamicPolicy`](crate::dynamic::DynamicPolicy) — the policy's

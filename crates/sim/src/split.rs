@@ -23,7 +23,7 @@
 //!    allocation.
 
 use amf_core::water_fill_weighted_into;
-use amf_flow::{AllocationNetwork, FlowBackend, FlowScratch};
+use amf_flow::{AllocationNetwork, FlowScratch};
 
 /// How the engine splits aggregate allocations across sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -149,7 +149,6 @@ pub fn balanced_progress_split(
         &start,
         &support,
         capacities,
-        FlowBackend::default(),
         FlowScratch::new(),
     );
     for (j, &a) in aggregates.iter().enumerate() {

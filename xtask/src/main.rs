@@ -7,7 +7,9 @@
 //!   clippy pass over the numeric-discipline crates (see
 //!   [`STRICT_CRATES`]) with the `clippy.toml` disallowed-methods list
 //!   promoted to hard errors (raw `f64` equality,
-//!   `partial_cmp().unwrap()`, unwrapping flow results).
+//!   `partial_cmp().unwrap()`, unwrapping flow results), then
+//!   `cargo doc --workspace --no-deps` with rustdoc warnings (dangling or
+//!   private intra-doc links, redundant link targets) denied.
 //! * `fmt` — apply rustfmt to the whole workspace.
 //! * `bench` — run the pinned solver benchmark (`bench_solver`) and the
 //!   serve load generator (`bench_serve`), both release profile, and
@@ -98,7 +100,9 @@ impl BenchOptions {
 
 fn usage() {
     eprintln!("usage: cargo xtask <lint|fmt|bench [--smoke] [--check] [--tolerance X]>");
-    eprintln!("  lint   run the static-analysis gate (rustfmt --check + clippy -D warnings)");
+    eprintln!(
+        "  lint   run the static-analysis gate (rustfmt --check + clippy + rustdoc, -D warnings)"
+    );
     eprintln!("  fmt    apply rustfmt to the workspace");
     eprintln!(
         "  bench  run the solver benchmark + serve load generator and validate their reports;\n\
@@ -117,9 +121,15 @@ fn workspace_root() -> PathBuf {
 
 /// Run a command in the workspace root; report whether it succeeded.
 fn run(label: &str, program: &str, args: &[&str]) -> bool {
+    run_with_env(label, program, args, &[])
+}
+
+/// [`run`] with extra environment variables set for the child.
+fn run_with_env(label: &str, program: &str, args: &[&str], envs: &[(&str, &str)]) -> bool {
     println!("==> {label}");
     let status = Command::new(program)
         .args(args)
+        .envs(envs.iter().copied())
         .current_dir(workspace_root())
         .status();
     match status {
@@ -205,6 +215,13 @@ fn lint() -> ExitCode {
         &strict_args,
     );
 
+    ok &= run_with_env(
+        "rustdoc -D warnings (workspace, no deps)",
+        "cargo",
+        &["doc", "--workspace", "--no-deps", "--offline", "--quiet"],
+        &[("RUSTDOCFLAGS", "-D warnings")],
+    );
+
     if ok {
         println!("==> lint gate passed");
         ExitCode::SUCCESS
@@ -214,12 +231,14 @@ fn lint() -> ExitCode {
 }
 
 /// Keys every `BENCH_solver.json` must contain (schema
-/// `amf-bench-solver/v3`); checked textually so xtask stays
+/// `amf-bench-solver/v4`); checked textually so xtask stays
 /// dependency-free.
 const BENCH_SOLVER_KEYS: &[&str] = &[
     "\"schema\"",
-    "\"amf-bench-solver/v3\"",
+    "\"amf-bench-solver/v4\"",
     "\"sweep\"",
+    "\"contracted-dinic\"",
+    "\"legacy_full_baseline_ms\"",
     "\"e8_400x20\"",
     "\"batch\"",
     "\"kernels\"",
@@ -331,8 +350,8 @@ fn sweep_section(json: &str) -> &str {
 /// Deterministic counters (sweep-section `rounds`, `max_flows`,
 /// `edges_visited`) must match the baseline exactly in every mode — a
 /// mismatch means the solver is doing different *work*, not that the
-/// machine is slow. Wall-clock gating (headline `contracted_ms` and
-/// `legacy_ms`, event-loop `incremental_ms`) applies in full mode only;
+/// machine is slow. Wall-clock gating (headline `contracted_ms`, event-loop
+/// `from_scratch_ms` and `incremental_ms`) applies in full mode only;
 /// smoke timings are single-rep noise.
 fn check_solver(fresh: &str, baseline: &str, smoke: bool, tolerance: f64) -> bool {
     let mut ok = true;
@@ -350,7 +369,7 @@ fn check_solver(fresh: &str, baseline: &str, smoke: bool, tolerance: f64) -> boo
     if smoke {
         return ok;
     }
-    for key in ["contracted_ms", "legacy_ms", "incremental_ms"] {
+    for key in ["contracted_ms", "from_scratch_ms", "incremental_ms"] {
         let (Some(got), Some(want)) = (extract_number(fresh, key), extract_number(baseline, key))
         else {
             eprintln!("xtask: bench --check: {key:?} missing from a solver report");
