@@ -645,6 +645,37 @@ mod tests {
     }
 
     #[test]
+    fn every_subcommand_rejects_an_unknown_flag() {
+        // One known-flags check per subcommand (and per client action):
+        // each names the stray flag rather than running without it.
+        for prefix in [
+            "gen --jobs 2 --sites 2",
+            "solve",
+            "simulate",
+            "check",
+            "audit",
+            "drf",
+            "serve",
+            "client --addr a:1 create --tenant t --capacities 1",
+            "client --addr a:1 add-job --tenant t --id 0 --demands 1",
+            "client --addr a:1 remove-job --tenant t --id 0",
+            "client --addr a:1 solve --tenant t",
+            "client --addr a:1 get --tenant t",
+            "client --addr a:1 stats",
+            "client --addr a:1 shutdown",
+        ] {
+            let mut argv: Vec<&str> = prefix.split_whitespace().collect();
+            assert!(parse(&sv(&argv)).is_ok(), "{prefix:?} should parse");
+            argv.push("--bogus");
+            let err = parse(&sv(&argv)).unwrap_err().to_string();
+            assert!(
+                err.starts_with(&format!("{}: unknown flag --bogus", argv[0])),
+                "{prefix:?} --bogus gave {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn documented_invocations_parse() {
         // Every flag USAGE lists, and the CI serve-smoke invocations.
         for line in [

@@ -620,6 +620,35 @@ mod tests {
     }
 
     #[test]
+    fn explain_shows_the_same_allocation_as_the_plain_solve() {
+        // `--explain` builds its solver from the policy name; the table it
+        // prints must be the one the registered policy gives.
+        let json = generate(&gen_params()).unwrap();
+        let table = |out: &str| -> Vec<String> {
+            out.lines()
+                .filter(|l| l.trim_start().starts_with(char::is_numeric))
+                .map(str::to_owned)
+                .collect()
+        };
+        for policy in ["amf", "amf-enhanced"] {
+            let run = |explain| {
+                solve(
+                    &SolveParams {
+                        policy: policy.into(),
+                        explain,
+                        dot: false,
+                    },
+                    &json,
+                )
+                .unwrap()
+            };
+            let (plain, explained) = (run(false), run(true));
+            assert_eq!(table(&plain).len(), 5, "{plain}");
+            assert_eq!(table(&plain), table(&explained), "{policy}");
+        }
+    }
+
+    #[test]
     fn simulate_with_slots_engine_and_srpt() {
         let json = generate(&gen_params()).unwrap();
         let slots = simulate_cmd(

@@ -75,6 +75,30 @@ mod tests {
     }
 
     #[test]
+    fn removed_solve_knobs_fail_before_solving() {
+        // `--backend` and `--no-contraction` selected solver paths that no
+        // longer exist; a script still passing them gets an error naming
+        // the flag, not a silently different run.
+        let trace = run(
+            &sv(&["gen", "--jobs", "4", "--sites", "2", "--seed", "3"]),
+            "",
+        )
+        .unwrap();
+        for argv in [
+            &["solve", "--backend", "dinic"][..],
+            &["solve", "--backend", "push-relabel"],
+            &["solve", "--no-contraction"],
+        ] {
+            let err = run(&sv(argv), &trace).unwrap_err();
+            assert!(
+                err.starts_with(&format!("solve: unknown flag {}", argv[1])),
+                "{argv:?} gave {err:?}"
+            );
+        }
+        assert!(run(&sv(&["solve"]), &trace).is_ok());
+    }
+
+    #[test]
     fn solve_rejects_garbage_input() {
         assert!(run(&sv(&["solve"]), "{nope").is_err());
     }

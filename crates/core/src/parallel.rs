@@ -107,6 +107,57 @@ mod tests {
     }
 
     #[test]
+    fn results_keep_input_order_at_any_thread_count() {
+        let items: Vec<u64> = (0..37).collect();
+        let want: Vec<u64> = items.iter().map(|&i| i * i + 1).collect();
+        for threads in [0, 1, 2, 3, 8, 64] {
+            let got = par_map_init(&items, threads, || (), |_, &i| i * i + 1);
+            assert_eq!(got, want, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn empty_input_maps_to_nothing() {
+        let inits = AtomicUsize::new(0);
+        let out: Vec<u8> = par_map_init(
+            &[] as &[u8],
+            4,
+            || {
+                inits.fetch_add(1, Ordering::Relaxed);
+            },
+            |_, &b| b,
+        );
+        assert!(out.is_empty());
+        // The clamp leaves one worker, which runs inline and still
+        // initialises its state once.
+        assert_eq!(inits.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn workers_are_clamped_to_the_item_count() {
+        // More threads than items: one state per item at most, and a
+        // single worker (zero or one thread asked for) stays on the
+        // calling thread.
+        let items = [10u32, 20, 30];
+        let inits = AtomicUsize::new(0);
+        let out = par_map_init(
+            &items,
+            16,
+            || {
+                inits.fetch_add(1, Ordering::Relaxed);
+            },
+            |_, &x| x + 1,
+        );
+        assert_eq!(out, vec![11, 21, 31]);
+        assert!(inits.load(Ordering::Relaxed) <= items.len());
+        let caller = std::thread::current().id();
+        for threads in [0, 1] {
+            let ids = par_map_init(&items, threads, || (), |_, _| std::thread::current().id());
+            assert!(ids.iter().all(|&id| id == caller), "{threads} threads");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "item 5 is bad")]
     fn worker_panics_propagate() {
         let items: Vec<usize> = (0..16).collect();

@@ -154,8 +154,62 @@ fn check_rounds<S: Scalar>(
     }
 }
 
+/// A hand-solved instance. Job 0 is capped at its demand of 1; jobs 1
+/// and 2 then split the remaining 3 + 4 units evenly at level 7/2 (job 2
+/// only reaches site 1, job 1 fills site 0 and takes 1/2 of site 1); job 3
+/// wants nothing. Both ways of running the solver land there exactly, earn
+/// the certificate and explain themselves consistently.
+#[test]
+fn hand_solved_instance_freezes_as_expected() {
+    let inst: Instance<Rational> =
+        instance(&[4, 4], &[vec![1, 0], vec![4, 4], vec![0, 4], vec![0, 0]]);
+    let want = [
+        Rational::from_int(1),
+        Rational::new(7, 2),
+        Rational::new(7, 2),
+        Rational::ZERO,
+    ];
+    assert_eq!(reference_aggregates(&inst, FairnessMode::Plain), want);
+    for (name, out) in &both_ways(&inst, false) {
+        assert_eq!(out.allocation.aggregates(), &want[..], "{name}");
+        assert!(audit(&inst, &out.allocation, FairnessMode::Plain).is_certified_amf());
+        check_rounds(name, &inst, out, false, |a, b| a == b);
+        let last = out.rounds.last().expect("at least one round");
+        assert_eq!(last.level, Rational::new(7, 2), "{name}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A batch of instances through `solve_batch_with`, on one to four
+    /// workers, comes back in input order with every output equal to its
+    /// own instance's reference and certified.
+    #[test]
+    fn batch_matches_the_reference_in_input_order(
+        shapes in proptest::collection::vec(skewed_shape(), 1..6),
+        threads in 1usize..5,
+        enhanced in 0u8..2,
+    ) {
+        let enhanced = enhanced == 1;
+        let insts: Vec<Instance<Rational>> = shapes
+            .iter()
+            .map(|(caps, demands, _)| instance(caps, demands))
+            .collect();
+        let outs = solver(enhanced).solve_batch_with(&insts, threads);
+        prop_assert_eq!(outs.len(), insts.len());
+        for (k, (inst, out)) in insts.iter().zip(&outs).enumerate() {
+            let want = reference_aggregates(inst, mode(enhanced));
+            prop_assert_eq!(
+                out.allocation.aggregates(),
+                &want[..],
+                "batch output {} disagrees with its reference", k
+            );
+            let report = audit(inst, &out.allocation, mode(enhanced));
+            prop_assert!(report.is_certified_amf(), "batch output {} failed audit", k);
+            check_rounds("batch", inst, out, enhanced, |a, b| a == b);
+        }
+    }
 
     /// Exact rationals: both paths equal the reference bit for bit, earn
     /// the audit certificate, and explain themselves with exactly

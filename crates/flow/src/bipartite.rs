@@ -719,6 +719,68 @@ mod tests {
     }
 
     #[test]
+    fn site_residual_reports_slack() {
+        // One job demanding 2 at a site of capacity 5: the site edge
+        // carries 2 and keeps 3 of slack, so the site still reaches the
+        // sink while the demand-capped job does not.
+        let demands = vec![vec![2.0]];
+        let mut net = AllocationNetwork::new(&demands, &[5.0]);
+        net.set_job_cap(0, 2.0);
+        assert_eq!(net.run_max_flow(), 2.0);
+        let site_edge = net.site_cap_edges[0];
+        assert_eq!(net.net.capacity(site_edge) - net.net.flow(site_edge), 3.0);
+        let (mut jobs, mut sites) = (Vec::new(), Vec::new());
+        net.sink_reachability_into(&mut jobs, &mut sites);
+        assert_eq!(sites, vec![true]);
+        assert_eq!(jobs, vec![false]);
+    }
+
+    #[test]
+    fn max_flow_matches_the_brute_force_min_cut() {
+        // The min cut of `source -> jobs -> sites -> sink` keeps some job
+        // set `A` on the source side (paying `u_j` for every job outside
+        // it) and then, site by site, cuts the cheaper of the site edge
+        // `c_s` or the demand edges from `A`, `sum_{j in A} d[j][s]`.
+        // Enumerating every `A` gives the max-flow value independently.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..40 {
+            let n = rng.gen_range(1..9usize);
+            let m = rng.gen_range(1..6usize);
+            let demands: Vec<Vec<Rational>> = (0..n)
+                .map(|_| (0..m).map(|_| r(rng.gen_range(0..8))).collect())
+                .collect();
+            let caps: Vec<Rational> = (0..m).map(|_| r(rng.gen_range(0..20))).collect();
+            let job_caps: Vec<Rational> = (0..n)
+                .map(|_| Rational::new(2 * rng.gen_range(0..10) + 1, 2))
+                .collect();
+            let mut net = AllocationNetwork::new(&demands, &caps);
+            for (j, &c) in job_caps.iter().enumerate() {
+                net.set_job_cap(j, c);
+            }
+            let flow = net.run_max_flow();
+            let min_cut = (0u32..1 << n)
+                .map(|a| {
+                    let in_a = |j: usize| a & (1 << j) != 0;
+                    let jobs_cut: Rational =
+                        (0..n).filter(|&j| !in_a(j)).map(|j| job_caps[j]).sum();
+                    let sites_cut: Rational = (0..m)
+                        .map(|s| {
+                            let from_a: Rational =
+                                (0..n).filter(|&j| in_a(j)).map(|j| demands[j][s]).sum();
+                            min2(caps[s], from_a)
+                        })
+                        .sum();
+                    jobs_cut + sites_cut
+                })
+                .min()
+                .expect("at least the empty job set");
+            assert_eq!(flow, min_cut, "n={n} m={m}");
+        }
+    }
+
+    #[test]
     fn preload_then_augment_reaches_max() {
         let demands = vec![vec![2.0, 2.0], vec![2.0, 2.0]];
         let caps = [3.0, 3.0];

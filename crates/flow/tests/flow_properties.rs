@@ -1,5 +1,6 @@
 //! Property-based tests of the max-flow substrate: flow conservation,
-//! max-flow = min-cut duality, and warm-start invariance on random
+//! max-flow = min-cut duality (against both the residual cut and a
+//! brute-force cut enumeration), and warm-start invariance on random
 //! networks with exact rational capacities.
 
 use amf_flow::{dinic, FlowNetwork};
@@ -54,6 +55,28 @@ proptest! {
             }
         }
         prop_assert_eq!(flow, cut, "max-flow != min-cut");
+    }
+
+    /// Dinic's value equals the minimum over every s-t cut, found by
+    /// enumerating all `2^(n-2)` ways to place the internal nodes — an
+    /// oracle that shares nothing with the residual graph.
+    #[test]
+    fn dinic_matches_brute_force_min_cut((n, edges) in random_network()) {
+        let mut g = build(n, &edges);
+        let flow = dinic::max_flow(&mut g, 0, 1);
+        let min_cut = (0u32..1 << (n - 2))
+            .map(|mask| {
+                // Node 0 is always on the source side, node 1 never.
+                let source_side = |v: usize| v == 0 || (v >= 2 && mask & (1 << (v - 2)) != 0);
+                edges
+                    .iter()
+                    .filter(|&&(a, b, _)| source_side(a) && !source_side(b))
+                    .map(|&(_, _, c)| Rational::from_int(c as i128))
+                    .fold(Rational::ZERO, |acc, c| acc + c)
+            })
+            .min()
+            .expect("at least one cut");
+        prop_assert_eq!(flow, min_cut);
     }
 
     /// Warm starts never change the final flow value: preloading part of a
