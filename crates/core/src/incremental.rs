@@ -793,6 +793,7 @@ impl<S: Scalar> IncrementalAmf<S> {
                 // Safety net for f64 rounding (unreachable with exact
                 // arithmetic): freeze everything at the current level.
                 debug_assert!(!S::EXACT, "exact solve failed to freeze a job");
+                stats.fallback_freezes += 1;
                 for slot in 0..n_slots {
                     if frozen[slot].is_none() {
                         let cap = caps[slot].as_ref().expect("active slot has caps");

@@ -15,9 +15,10 @@
 //!    water level `t`; *frozen* jobs keep their fixed aggregate.
 //! 2. Level `t` is feasible iff the allocation network admits a flow
 //!    saturating every source cap. We search for the largest feasible `t`:
-//!    start at the level where every active job is demand-capped; while
-//!    infeasible, read the violating job set `J` off the min cut, and lower
-//!    `t` to the level at which `J`'s polymatroid constraint
+//!    start at the lowest upper bound already known (see *The cut cache*
+//!    below; at worst the level where every active job is demand-capped);
+//!    while infeasible, read the violating job set `J` off the min cut, and
+//!    lower `t` to the level at which `J`'s polymatroid constraint
 //!    `Σ_{j∈J} u_j(t) = f(J) - Σ_{frozen∈J} A_j` becomes tight
 //!    ([`crate::levels::invert_total`]). Each step strictly lowers `t` and
 //!    pins a new subset, so the iteration is finite.
@@ -40,6 +41,23 @@
 //! jobs × still-growable sites subgraph, which shrinks geometrically on
 //! typical workloads. Every feasibility check warm-starts from the previous
 //! max flow, and Dinic augments it.
+//!
+//! # The cut cache
+//!
+//! Every infeasible check names a violating set `J` and its budget `C_J`
+//! (the contracted rank plus the members' committed `base`). Whatever the
+//! later rounds do, their flow together with the flow committed since is a
+//! feasible flow of the network the cut was read from, so
+//! `Σ_{active j∈J} u_j(t) <= C_J - Σ_{frozen j∈J} held_j` bounds every later
+//! level, where `held_j` is the flow job `j` actually committed when it
+//! froze. The solver keeps every such cut for the rest of the solve, and
+//! each round starts its descent at the lowest level any of them allows
+//! instead of at the top breakpoint. That costs no flow, and on typical
+//! workloads the start level is already `t*`, so a round takes one max flow.
+//! With exact arithmetic every cut level is an upper bound on `t*`, so the
+//! answer and the freeze rounds are the same as from the top; with `f64` a
+//! round whose cached start freezes nothing is re-run from the top before
+//! the rounding safety net may fire (`SolveStats::cut_start_retries`).
 //!
 //! This is the solver's only path. Its correctness is cross-checked by
 //! oracles that share no code with it: brute-force subset enumeration
@@ -132,6 +150,14 @@ pub struct SolveStats {
     /// descent after a delta invalidated the cached suffix (always 0 on a
     /// from-scratch solve, where `rounds` counts that work).
     pub rounds_resolved: usize,
+    /// Rounds in which the `f64` safety net froze every remaining job at
+    /// the current level because no job was demand-capped or bottlenecked
+    /// there. Always 0 with exact arithmetic.
+    pub fallback_freezes: usize,
+    /// Rounds whose descent started at a cached cut's level, froze nothing
+    /// and was re-run from the top breakpoint (`f64` rounding only; always
+    /// 0 with exact arithmetic).
+    pub cut_start_retries: usize,
 }
 
 impl SolveStats {
@@ -162,6 +188,10 @@ impl SolveStats {
         self.bitset_words_cleared = self
             .bitset_words_cleared
             .saturating_add(other.bitset_words_cleared);
+        self.fallback_freezes = self.fallback_freezes.saturating_add(other.fallback_freezes);
+        self.cut_start_retries = self
+            .cut_start_retries
+            .saturating_add(other.cut_start_retries);
     }
 }
 
@@ -208,6 +238,152 @@ pub struct SolverPool<S> {
     /// contraction builds for the next (swapped after every round).
     cur: Active<S>,
     next: Active<S>,
+    cuts: CutCache<S>,
+}
+
+/// The violating sets found so far in one solve (see the module docs).
+#[derive(Debug)]
+struct CutCache<S> {
+    /// Members (original ids) of every cut, each cut's in its own range.
+    jobs: Vec<usize>,
+    cuts: Vec<Cut<S>>,
+    /// Flow each frozen job committed (its split row sum when it froze), by
+    /// original id.
+    held: Vec<S>,
+}
+
+/// One cached cut as of the round `stamp`.
+#[derive(Debug, Clone, Copy)]
+struct Cut<S> {
+    /// Its members are `jobs[start..end]`: those still active in round
+    /// `stamp`, plus any frozen since.
+    start: usize,
+    end: usize,
+    /// `C_J` less the flow the members frozen before round `stamp`
+    /// committed.
+    budget: S,
+    /// The level at which the round-`stamp` members' caps reach `budget`.
+    /// Freezing a member never lowers it (see [`CutCache::tighten`]), so an
+    /// older level is a lower bound on the current one.
+    level: S,
+    stamp: usize,
+}
+
+impl<S: Scalar> CutCache<S> {
+    fn new() -> Self {
+        CutCache {
+            jobs: Vec::new(),
+            cuts: Vec::new(),
+            held: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self, n: usize) {
+        self.jobs.clear();
+        self.cuts.clear();
+        self.held.clear();
+        self.held.resize(n, S::ZERO);
+    }
+
+    /// Keep the violating set `members` (original ids, at least one) found
+    /// in round `stamp` with budget `budget`, and return its level: the
+    /// largest `t` with `Σ_{j∈members} u_j(t) <= budget`.
+    fn record(
+        &mut self,
+        members: impl IntoIterator<Item = usize>,
+        budget: S,
+        stamp: usize,
+        caps: &[LevelCap<S>],
+        events: &mut Vec<(S, S)>,
+    ) -> S {
+        let start = self.jobs.len();
+        self.jobs.extend(members);
+        let end = self.jobs.len();
+        let level = invert_total_with(
+            self.jobs[start..end].iter().map(|&j| caps[j]),
+            budget,
+            events,
+        );
+        self.cuts.push(Cut {
+            start,
+            end,
+            budget,
+            level,
+            stamp,
+        });
+        level
+    }
+
+    /// The lowest level any cached cut allows in round `stamp`, if one
+    /// still binds.
+    ///
+    /// Bringing a cut up to date folds its members frozen since out of it
+    /// (their `held` flow leaves the budget) and re-inverts the rest. That
+    /// never lowers its level: at the old level `L >= t*` the frozen job
+    /// `j` would take `u_j(L) >= u_j(t*) = held_j`, so the remaining members
+    /// fit the new budget at `L` (exactly; up to rounding on `f64`). So the
+    /// cuts are brought up to date lazily, lowest old level first, until the
+    /// lowest is current. A cut is dropped once no member is active, or once
+    /// its budget reaches its active members' total ceiling: freezing `j`
+    /// lowers the budget by `held_j` and the ceiling total by
+    /// `D_j >= held_j`, so such a cut never binds again. The inversion
+    /// therefore always has a member and a crossing.
+    fn tighten(
+        &mut self,
+        stamp: usize,
+        frozen: &[Option<S>],
+        caps: &[LevelCap<S>],
+        events: &mut Vec<(S, S)>,
+    ) -> Option<S> {
+        loop {
+            let (c, cut) = self
+                .cuts
+                .iter()
+                .enumerate()
+                .reduce(|a, b| if b.1.level < a.1.level { b } else { a })
+                .map(|(c, cut)| (c, *cut))?;
+            if cut.stamp == stamp {
+                return Some(cut.level);
+            }
+            let (mut budget, mut write) = (cut.budget, cut.start);
+            let (mut floors, mut ceils) = (S::ZERO, S::ZERO);
+            for r in cut.start..cut.end {
+                let j = self.jobs[r];
+                if frozen[j].is_some() {
+                    budget -= self.held[j];
+                } else {
+                    self.jobs[write] = j;
+                    write += 1;
+                    floors += caps[j].floor;
+                    ceils += caps[j].ceil;
+                }
+            }
+            // `floors > budget` is f64 rounding on a cut that can only pin
+            // the previous level; dropping a cut only loses a hint.
+            if write == cut.start || !(budget < ceils) || floors.definitely_gt(budget) {
+                self.cuts.swap_remove(c);
+                continue;
+            }
+            let level = if write == cut.end {
+                cut.level
+            } else {
+                let members = self.jobs[cut.start..write].iter().map(|&j| caps[j]);
+                invert_total_with(members, budget, events)
+            };
+            debug_assert!(
+                !S::EXACT || cut.level <= level,
+                "a cut's level fell from {} to {level}",
+                cut.level
+            );
+            self.cuts[c] = Cut {
+                end: write,
+                budget,
+                level,
+                stamp,
+                ..cut
+            };
+        }
+    }
 }
 
 /// The contracted subproblem a round works on (see the module docs).
@@ -279,6 +455,7 @@ impl<S: Scalar> SolverPool<S> {
             preload_start: Vec::new(),
             cur: Active::new(),
             next: Active::new(),
+            cuts: CutCache::new(),
         }
     }
 
@@ -433,6 +610,7 @@ impl AmfSolver {
             preload_start,
             cur,
             next,
+            cuts,
         } = pool;
 
         let caps = self.build_caps(inst);
@@ -484,6 +662,11 @@ impl AmfSolver {
             AllocationNetwork::new_sparse_with_scratch(&cur.start, &cur.support, &cur.caps, arena);
 
         let mut rounds: Vec<FreezeRound<S>> = Vec::new();
+        cuts.clear(n);
+        // Every cut the descent reads, unaltered, for the end-of-solve check
+        // that each still holds on the final allocation.
+        #[cfg(debug_assertions)]
+        let mut cut_log: Vec<(Vec<usize>, S)> = Vec::new();
 
         while !cur.jobs.is_empty() {
             stats.rounds += 1;
@@ -491,99 +674,128 @@ impl AmfSolver {
             stats.active_site_rounds += cur.sites.len();
 
             // Upper bound: the level at which every active job is at its
-            // ceiling (u_j flat beyond its high breakpoint).
-            let mut t = S::ZERO;
+            // ceiling (u_j flat beyond its high breakpoint), lowered to the
+            // tightest cached cut but never below the previous round.
+            let mut top = S::ZERO;
             for &j in &cur.jobs {
-                t = max2(t, caps[j].high_breakpoint());
+                top = max2(top, caps[j].high_breakpoint());
             }
+            let t_prev = rounds.last().map_or(S::ZERO, |r| r.level);
+            let mut t = match cuts.tighten(stats.rounds, &frozen, &caps, events) {
+                Some(level) if level < top => max2(level, t_prev),
+                _ => top,
+            };
+            let mut from_cut = t < top;
 
-            // Dinkelbach descent to the largest feasible level. When the
-            // loop exits on a feasible check the network already holds the
-            // max flow at t*, so no re-check is needed.
-            let mut at_t_star = false;
-            let t_star = loop {
-                stats.dinkelbach_iterations += 1;
-                stats.max_flows += 1;
-                let (flow, target) = check_level(&mut net, &caps, cur, t, &mut stats, us);
-                if close_rel(flow, target) {
-                    at_t_star = true;
-                    break t;
+            let (t_star, mut round) = loop {
+                // Dinkelbach descent to the largest feasible level. When
+                // the loop exits on a feasible check the network already
+                // holds the max flow at t*, so no re-check is needed.
+                let mut at_t_star = false;
+                let t_star = loop {
+                    stats.dinkelbach_iterations += 1;
+                    stats.max_flows += 1;
+                    let (flow, target) = check_level(&mut net, &caps, cur, t, &mut stats, us);
+                    if close_rel(flow, target) {
+                        at_t_star = true;
+                        break t;
+                    }
+                    // Infeasible: the min cut names the violating job set J.
+                    net.source_side_jobs_into(side);
+                    if !side.iter().any(|&inside| inside) {
+                        // Every source edge is saturated within the
+                        // network's tolerance, so the shortfall is f64
+                        // rounding: the level is feasible.
+                        debug_assert!(!S::EXACT, "violating set without active jobs");
+                        at_t_star = true;
+                        break t;
+                    }
+                    // The tight level satisfies Σ_{i∈J} u_i(t') = f'(J) +
+                    // Σ base, with f' the rank of the *contracted* network;
+                    // the residual site budgets it reads are checked against
+                    // `c_s - committed` in debug builds.
+                    debug_assert!(
+                        residual_budget_agrees(inst, &cur.sites, &cur.caps, split),
+                        "incrementally maintained site budgets drifted from c_s - committed"
+                    );
+                    let mut budget = contracted_rank(cur, side, rank_buf);
+                    debug_assert!(
+                        bit_identical(budget, dense_contracted_rank(inst, cur, side)),
+                        "sparse contracted rank differs from the dense sum"
+                    );
+                    for (i, &inside) in side.iter().enumerate() {
+                        if inside {
+                            budget += cur.base[i];
+                        }
+                    }
+                    let members = side
+                        .iter()
+                        .zip(&cur.jobs)
+                        .filter(|&(&inside, _)| inside)
+                        .map(|(_, &j)| j);
+                    #[cfg(debug_assertions)]
+                    cut_log.push((members.clone().collect(), budget));
+                    let t_next = cuts.record(members, budget, stats.rounds, &caps, events);
+                    if !t_next.definitely_lt(t) {
+                        // No numerical progress (f64 only): accept the
+                        // current level; the freeze step below still
+                        // terminates.
+                        break t_next;
+                    }
+                    t = t_next;
+                };
+
+                if !at_t_star {
+                    // Re-establish the max flow at t_star (only needed when
+                    // the loop exited on a lowered level without
+                    // re-checking).
+                    stats.max_flows += 1;
+                    let (flow, target) = check_level(&mut net, &caps, cur, t_star, &mut stats, us);
+                    debug_assert!(
+                        close_rel(flow, target),
+                        "level t*={t_star} must be feasible (flow {flow}, target {target})"
+                    );
                 }
-                // Infeasible: the min cut names the violating job set J.
-                // The tight level satisfies Σ_{i∈J} u_i(t') = f'(J) + Σ base,
-                // with f' the rank of the *contracted* network; the residual
-                // site budgets it reads are checked against
-                // `c_s - committed` in debug builds.
-                net.source_side_jobs_into(side);
-                debug_assert!(
-                    residual_budget_agrees(inst, &cur.sites, &cur.caps, split),
-                    "incrementally maintained site budgets drifted from c_s - committed"
-                );
-                let mut budget = contracted_rank(cur, side, rank_buf);
-                debug_assert!(
-                    bit_identical(budget, dense_contracted_rank(inst, cur, side)),
-                    "sparse contracted rank differs from the dense sum"
-                );
-                for (i, &inside) in side.iter().enumerate() {
-                    if inside {
-                        budget += cur.base[i];
+
+                // Freeze demand-capped jobs and bottlenecked jobs.
+                net.sink_reachability_into(grow_jobs, grow_sites);
+                freeze.clear();
+                freeze.resize(cur.jobs.len(), false);
+                let mut round = FreezeRound {
+                    level: t_star,
+                    frozen: Vec::new(),
+                };
+                for (i, &j) in cur.jobs.iter().enumerate() {
+                    let u = caps[j].at(t_star);
+                    if !u.definitely_lt(caps[j].ceil) {
+                        frozen[j] = Some(caps[j].ceil);
+                        round.frozen.push((j, FreezeReason::DemandCapped));
+                        freeze[i] = true;
+                    } else if !grow_jobs[i] {
+                        frozen[j] = Some(u);
+                        round.frozen.push((j, FreezeReason::Bottlenecked));
+                        freeze[i] = true;
                     }
                 }
-                debug_assert!(
-                    side.iter().any(|&inside| inside),
-                    "violating set without active jobs: frozen state infeasible"
-                );
-                let members = side
-                    .iter()
-                    .zip(&cur.jobs)
-                    .filter(|&(&inside, _)| inside)
-                    .map(|(_, &j)| caps[j]);
-                let t_next = invert_total_with(members, budget, events);
-                if !t_next.definitely_lt(t) {
-                    // No numerical progress (f64 only): accept the current
-                    // level; the freeze step below still terminates.
-                    break t_next;
+                if round.frozen.is_empty() && from_cut {
+                    // A cached cut's level came out a rounding hair below
+                    // t* (f64 only: exactly, every cut level bounds t* from
+                    // above). Descend again from the top breakpoint.
+                    debug_assert!(!S::EXACT, "a cached cut started the round below t*");
+                    stats.cut_start_retries += 1;
+                    t = top;
+                    from_cut = false;
+                    continue;
                 }
-                t = t_next;
+                break (t_star, round);
             };
-
-            if !at_t_star {
-                // Re-establish the max flow at t_star (only needed when the
-                // loop exited on a lowered level without re-checking).
-                stats.max_flows += 1;
-                let (flow, target) = check_level(&mut net, &caps, cur, t_star, &mut stats, us);
-                debug_assert!(
-                    close_rel(flow, target),
-                    "level t*={t_star} must be feasible (flow {flow}, target {target})"
-                );
-            }
-
-            // Freeze demand-capped jobs and bottlenecked jobs.
-            net.sink_reachability_into(grow_jobs, grow_sites);
-            freeze.clear();
-            freeze.resize(cur.jobs.len(), false);
-            let mut round = FreezeRound {
-                level: t_star,
-                frozen: Vec::new(),
-            };
-            for (i, &j) in cur.jobs.iter().enumerate() {
-                let u = caps[j].at(t_star);
-                if !u.definitely_lt(caps[j].ceil) {
-                    frozen[j] = Some(caps[j].ceil);
-                    round.frozen.push((j, FreezeReason::DemandCapped));
-                    freeze[i] = true;
-                } else if !grow_jobs[i] {
-                    frozen[j] = Some(u);
-                    round.frozen.push((j, FreezeReason::Bottlenecked));
-                    freeze[i] = true;
-                }
-            }
             if round.frozen.is_empty() {
                 // Safety net for f64 rounding: freeze everything at the
                 // current level rather than loop forever. Unreachable with
                 // exact arithmetic (a maximal feasible level always has a
                 // tight set).
                 debug_assert!(!S::EXACT, "exact solve failed to freeze a job");
+                stats.fallback_freezes += 1;
                 for (i, &j) in cur.jobs.iter().enumerate() {
                     frozen[j] = Some(caps[j].at(t_star));
                     round.frozen.push((j, FreezeReason::Bottlenecked));
@@ -615,12 +827,15 @@ impl AmfSolver {
             frozen_usage.resize(cur.sites.len(), S::ZERO);
             for (i, &j) in cur.jobs.iter().enumerate() {
                 if freeze[i] {
+                    let mut held = cur.base[i];
                     for (k, v) in net.job_split(i) {
                         if v.is_positive() {
                             split[j][cur.sites[k]] += v;
                             frozen_usage[k] += v;
+                            held += v;
                         }
                     }
+                    cuts.held[j] = held;
                 }
             }
             // A site survives iff it can still absorb flow (residual path
@@ -719,6 +934,14 @@ impl AmfSolver {
             ),
             "committed split does not realize the frozen aggregates"
         );
+        #[cfg(debug_assertions)]
+        for (members, budget) in &cut_log {
+            let used = sum(members.iter().map(|&j| allocation.aggregate(j)));
+            debug_assert!(
+                !(used - *budget > S::eps() * (S::ONE + max2(used, *budget))),
+                "cached cut {members:?} violated: aggregates {used} above its budget {budget}"
+            );
+        }
 
         SolveOutput {
             allocation,

@@ -414,3 +414,178 @@ fn sub_eps_demands_keep_the_sparse_rank_exact() {
         "the rank path never ran"
     );
 }
+
+/// Plain-AMF solve of an f64 instance, checked feasible and within 1e-6 of
+/// [`reference_aggregates`](crate::reference_aggregates).
+fn solve_near_the_reference(inst: &Instance<f64>) -> SolveOutput<f64> {
+    let out = AmfSolver::new().solve(inst);
+    assert!(out.allocation.is_feasible(inst));
+    let reference = crate::reference_aggregates(inst, FairnessMode::Plain);
+    for (j, &want) in reference.iter().enumerate() {
+        let got = out.allocation.aggregate(j);
+        assert!(
+            (got - want).abs() < 1e-6,
+            "job {j}: solver {got} vs reference {want}"
+        );
+    }
+    out
+}
+
+#[test]
+fn zero_capacity_site_with_sub_eps_demands_solves() {
+    // A zero-capacity site plus demands in (0, 1e-9]: the min cut of an
+    // infeasible check can hold no active job, because every source edge
+    // is saturated within the network's tolerance. The solver used to
+    // invert that empty set and panic.
+    let inst = Instance::new(
+        vec![0.0, 0.0, 2.645339087994525],
+        vec![
+            vec![0.6848094026036105, 3.4112140102342448, 0.0],
+            vec![1.1294139937837106e-10, 0.0, 0.5866433682363832],
+            vec![3.3942342391766562, 0.0, 4.2401012979828273e-10],
+            vec![
+                6.465781479165431e-10,
+                3.300695301931978e-10,
+                8.087405748263891e-10,
+            ],
+            vec![0.0, 0.0, 1.0802863353644787e-10],
+        ],
+    )
+    .unwrap();
+    solve_near_the_reference(&inst);
+}
+
+#[test]
+fn cut_cache_starts_each_round_at_its_level() {
+    // The disjoint bottlenecks of `contraction_shrinks_the_working_network`,
+    // solved by hand. Round 1 descends from the top breakpoint 50 through
+    // the cuts {0,1,2} (budget 1+4+9 = 14, level 14/3), {0,1} (budget 5,
+    // level 5/2) and {0} (level 1), where the fourth check is feasible and
+    // job 0 freezes holding 1. Round 2 starts at the tightest remaining
+    // cut, {0,1} less job 0's 1 = 4, which is t*; round 3 at {0,1,2} less
+    // 1 + 4 = 9, which is t*; round 4 has no binding cut and checks 50 once.
+    // That is 4 + 1 + 1 + 1 = 7 max flows, where descending from the top
+    // every round takes 4 + 3 + 2 + 1 = 10.
+    let inst = Instance::new(
+        vec![ri(1), ri(4), ri(9), ri(100)],
+        vec![
+            vec![ri(50), ri(0), ri(0), ri(0)],
+            vec![ri(0), ri(50), ri(0), ri(0)],
+            vec![ri(0), ri(0), ri(50), ri(0)],
+            vec![ri(0), ri(0), ri(0), ri(50)],
+        ],
+    )
+    .unwrap();
+    let out = AmfSolver::new().solve(&inst);
+    assert_eq!(out.allocation.aggregates(), &[ri(1), ri(4), ri(9), ri(50)]);
+    let levels: Vec<Rational> = out.rounds.iter().map(|r| r.level).collect();
+    assert_eq!(levels, [ri(1), ri(4), ri(9), ri(50)]);
+    assert_eq!(out.stats.rounds, 4);
+    assert_eq!(out.stats.dinkelbach_iterations, 7);
+    assert_eq!(out.stats.max_flows, 7);
+    assert_eq!(out.stats.cut_start_retries, 0);
+    assert_eq!(out.stats.fallback_freezes, 0);
+}
+
+#[test]
+fn cut_budgets_give_back_held_flow_not_frozen_aggregates() {
+    // Jobs 1, 6 and 7 demand only amounts in (0, 1e-9]: the network has no
+    // edge for them, so each freezes at its total demand while holding no
+    // flow. A cut they belong to keeps that share of its budget. Taking
+    // their frozen aggregates out of it instead starts a later round a
+    // hair below t*, where nothing freezes and the round has to be
+    // re-run from the top.
+    let inst = Instance::new(
+        vec![6.664716527558151, 5.398191331235495, 2.758004745467901],
+        vec![
+            vec![7.021595436486771, 8.482250243485163e-10, 0.0],
+            vec![1.3117469977133915e-10, 0.0, 0.0],
+            vec![5.866008796283522e-10, 0.0, 5.098689344783764],
+            vec![0.0, 8.17887107022837e-10, 1.1936606376078758],
+            vec![6.1495131082689225, 3.573012141960941, 7.406711093803563e-10],
+            vec![7.47934831476034, 8.975341419597661e-10, 1.9234870500305914],
+            vec![0.0, 0.0, 9.49629369504028e-10],
+            vec![
+                2.507274905130306e-10,
+                2.672310759625343e-10,
+                1.4888192164650063e-10,
+            ],
+            vec![4.128911560162743, 0.0, 7.539115094650831],
+            vec![
+                2.496693397547154e-10,
+                2.3818718061786552,
+                1.765722630981405e-10,
+            ],
+        ],
+    )
+    .unwrap();
+    let out = solve_near_the_reference(&inst);
+    assert!(out.stats.rounds >= 2);
+    assert_eq!(out.stats.cut_start_retries, 0);
+    assert_eq!(out.stats.fallback_freezes, 0);
+}
+
+#[test]
+fn a_cached_start_that_freezes_nothing_reruns_from_the_top() {
+    // Here rounding puts one cached start a hair below t*: the check there
+    // is feasible and no job is tight yet. The round is re-run from the
+    // top breakpoint, which finds t* itself, so the f64 safety net (freeze
+    // everything where it stands) never fires.
+    let inst = Instance::new(
+        vec![
+            9.585196814748283,
+            8.881045952587764,
+            5.6302062867189,
+            9.193792213693674,
+            8.815390559953247,
+        ],
+        vec![
+            vec![
+                0.0,
+                6.6464421949653385,
+                2.8611778307249825e-11,
+                6.481505279932427,
+                7.046141862229915,
+            ],
+            vec![
+                7.237169528848724e-10,
+                2.6417972490758035,
+                5.675110506765052e-10,
+                2.2907741292792054e-10,
+                4.856199963257706e-10,
+            ],
+            vec![
+                0.0,
+                1.6776015734062872e-10,
+                5.139772270735706,
+                0.0,
+                7.409401719856643e-10,
+            ],
+            vec![
+                0.0,
+                2.4288323623030736,
+                9.891912130159747e-10,
+                5.886156555704827,
+                5.797689753212691,
+            ],
+            vec![
+                3.1229633447654786e-10,
+                6.408229184978022,
+                4.402393771405837e-10,
+                7.9908267050544755,
+                6.294233191373528e-10,
+            ],
+            vec![
+                8.579592589096924e-10,
+                7.522324912523519,
+                7.743653916601544,
+                6.721962498534158e-10,
+                8.597103139060649e-10,
+            ],
+        ],
+    )
+    .unwrap();
+    let out = solve_near_the_reference(&inst);
+    assert_eq!(out.stats.cut_start_retries, 1);
+    assert_eq!(out.stats.fallback_freezes, 0);
+}

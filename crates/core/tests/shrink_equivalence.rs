@@ -10,6 +10,9 @@
 //!   demand `D_j`, and a `Bottlenecked` job holds its level target
 //!   `u_j(level) = clamp(w_j · level, floor_j, D_j)`, strictly below `D_j`
 //!   — exactly on `Rational`.
+//!
+//! Multi-round instances get their own property, since every round after
+//! the first starts its descent at the cut cache's level.
 
 use amf_audit::audit;
 use amf_core::{
@@ -179,8 +182,70 @@ fn hand_solved_instance_freezes_as_expected() {
     }
 }
 
+/// Shapes that usually take several freeze rounds: every job reaches only
+/// a random subset of sites whose capacities differ widely, so bottlenecks
+/// tighten one after another and the cut cache has cuts to carry from
+/// round to round.
+fn multi_round_shape() -> impl Strategy<Value = (Vec<i64>, Vec<Vec<i64>>)> {
+    (3usize..=8, 2usize..=5).prop_flat_map(|(n, m)| {
+        (
+            proptest::collection::vec(1i64..30, m),
+            proptest::collection::vec(
+                (
+                    proptest::collection::vec(1i64..12, m),
+                    1u32..(1 << m),
+                    0u8..4,
+                ),
+                n,
+            )
+            .prop_map(|rows| {
+                rows.into_iter()
+                    .map(|(row, sites, pick)| {
+                        let scale = if pick == 0 { 6 } else { 1 };
+                        row.into_iter()
+                            .enumerate()
+                            .map(|(s, d)| if sites >> s & 1 == 1 { d * scale } else { 0 })
+                            .collect()
+                    })
+                    .collect()
+            }),
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Multi-round exact solves, where later rounds start at a cached cut's
+    /// level: both paths equal the reference bit for bit, earn the
+    /// certificate and explain themselves consistently, in both modes. An
+    /// exact solve never needs the guarded restart or the safety net.
+    #[test]
+    fn multi_round_cached_starts_match_the_reference_exactly(
+        (caps, demands) in multi_round_shape(),
+        enhanced in 0u8..2,
+    ) {
+        let enhanced = enhanced == 1;
+        let inst: Instance<Rational> = instance(&caps, &demands);
+        let want = reference_aggregates(&inst, mode(enhanced));
+        let outs = both_ways(&inst, enhanced);
+        prop_assume!(outs[0].1.rounds.len() >= 2);
+        for (name, out) in &outs {
+            prop_assert_eq!(
+                out.allocation.aggregates(),
+                &want[..],
+                "{} disagrees with the reference", name
+            );
+            let report = audit(&inst, &out.allocation, mode(enhanced));
+            prop_assert!(
+                report.is_certified_amf(),
+                "{} output failed audit: {}", name, report.summary()
+            );
+            check_rounds(name, &inst, out, enhanced, |a, b| a == b);
+            prop_assert_eq!(out.stats.cut_start_retries, 0);
+            prop_assert_eq!(out.stats.fallback_freezes, 0);
+        }
+    }
 
     /// A batch of instances through `solve_batch_with`, on one to four
     /// workers, comes back in input order with every output equal to its

@@ -173,3 +173,35 @@ fn invalid_json_and_wrong_shapes_are_typed() {
         }
     }
 }
+
+/// Wire integers decode only when the number is an integer the target type
+/// holds and `f64` carried exactly: `2^53 + 1` arrives as `2^53` and would
+/// alias another client's job id, and a saturating cast would turn `-5`
+/// into job 0 and `1e300` into `u64::MAX`.
+#[test]
+fn job_ids_decode_only_when_exact_and_in_range() {
+    let template = String::from_utf8(encode(&Request::ApplyDeltas {
+        tenant: "t".into(),
+        deltas: vec![WireDelta::RemoveJob { id: 12345 }],
+    }))
+    .expect("the encoder writes UTF-8");
+    assert!(template.contains("12345"));
+    let remove = |id: &str| decode_request(template.replace("12345", id).as_bytes());
+
+    let max_exact = (1u64 << 53) - 1;
+    match remove(&max_exact.to_string()) {
+        Ok(Request::ApplyDeltas { deltas, .. }) => {
+            assert_eq!(deltas, vec![WireDelta::RemoveJob { id: max_exact }]);
+        }
+        other => panic!("2^53 - 1 must decode, got {other:?}"),
+    }
+    for bad in ["9007199254740993", "9007199254740992", "-5", "1e300", "2.5"] {
+        match remove(bad) {
+            Err(ProtocolError::Json { message }) => assert!(
+                message.contains("out of range") || message.contains("expected integer"),
+                "{bad}: unexpected message {message:?}"
+            ),
+            other => panic!("id {bad} must be rejected, got {other:?}"),
+        }
+    }
+}

@@ -20,13 +20,17 @@
 //!   deterministic solver work counters must match exactly, and (full mode
 //!   only) wall-clock ratios must stay within the tolerance, default 1.25×,
 //!   overridable with `--tolerance X` or the `AMF_BENCH_TOLERANCE` env var.
+//!   Both modes also run the benchmark's traced `online-skewed` pass (seed
+//!   1, see [`ONLINE_ARGS`]) and record its deterministic work counters in
+//!   `BENCH_online.json`; `--check` requires them to equal the committed
+//!   ones exactly.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::env;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::{Command, ExitCode, Stdio};
 
 fn main() -> ExitCode {
     let task = env::args().nth(1);
@@ -105,9 +109,10 @@ fn usage() {
     );
     eprintln!("  fmt    apply rustfmt to the workspace");
     eprintln!(
-        "  bench  run the solver benchmark + serve load generator and validate their reports;\n\
-         \x20        --check gates against the committed BENCH_*.json baselines (tolerance\n\
-         \x20        1.25x; override with --tolerance or AMF_BENCH_TOLERANCE)"
+        "  bench  run the solver benchmark, the serve load generator and the traced\n\
+         \x20        online-skewed pass, and validate their reports; --check gates against\n\
+         \x20        the committed BENCH_*.json baselines (tolerance 1.25x; override with\n\
+         \x20        --tolerance or AMF_BENCH_TOLERANCE)"
     );
 }
 
@@ -420,12 +425,133 @@ fn check_serve(fresh: &str, baseline: &str, smoke: bool, tolerance: f64) -> bool
     }
 }
 
+/// The traced `online-skewed` pass whose work counters `bench` pins: the
+/// same invocation as CI's short traced run. Traced runs do a fixed amount
+/// of work, whatever `--seconds` says.
+const ONLINE_ARGS: &[&str] = &[
+    "--workload",
+    "online-skewed",
+    "--seed",
+    "1",
+    "--seconds",
+    "2",
+    "--trace",
+    "1",
+];
+
+/// Per-layer metrics of the traced online pass that are counts of work,
+/// equal on every run of the same source, and so pinned exactly.
+const ONLINE_COUNTERS: &[&str] = &[
+    "flow.edges_visited",
+    "core.rounds",
+    "core.max_flows",
+    "core.dinkelbach_iterations",
+    "sim.reallocations",
+];
+
+/// The value of metric `name` in an `amfbench` result line
+/// (`"name": {"value": v, ...}`).
+fn metric_value(line: &str, name: &str) -> Option<f64> {
+    let needle = format!("\"{name}\": {{\"value\":");
+    let at = line.find(&needle)? + needle.len();
+    extract_number_prefix(&line[at..])
+}
+
+/// Run the traced online pass, check that it passed its own correctness
+/// and audit checks, and write its pinned counters to `out`. Returns the
+/// report on success.
+fn bench_online(out: &Path) -> Option<String> {
+    println!("==> amfbench {} (release)", ONLINE_ARGS.join(" "));
+    let cargo = [
+        "run",
+        "--release",
+        "--offline",
+        "--quiet",
+        "--manifest-path",
+        "amfbench/Cargo.toml",
+        "--",
+    ];
+    let output = match Command::new("cargo")
+        .args(cargo.iter().chain(ONLINE_ARGS))
+        .current_dir(workspace_root())
+        .stderr(Stdio::inherit())
+        .output()
+    {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("xtask: could not run amfbench: {e}");
+            return None;
+        }
+    };
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let Some(line) = stdout.lines().rev().find(|l| l.starts_with("{\"correct\"")) else {
+        eprintln!("xtask: amfbench printed no result line ({})", output.status);
+        return None;
+    };
+    if !output.status.success() || !line.starts_with("{\"correct\": true") {
+        eprintln!("xtask: the traced online pass failed a correctness check: {line}");
+        return None;
+    }
+    if metric_value(line, "audit.violations") != Some(0.0) {
+        eprintln!("xtask: the traced online pass reported audit violations: {line}");
+        return None;
+    }
+    let mut json = String::from("{\n  \"schema\": \"amf-bench-online/v1\",\n");
+    json.push_str(&format!(
+        "  \"command\": \"amfbench {}\",\n",
+        ONLINE_ARGS.join(" ")
+    ));
+    json.push_str("  \"counters\": {\n");
+    for (i, name) in ONLINE_COUNTERS.iter().enumerate() {
+        let Some(v) = metric_value(line, name) else {
+            eprintln!("xtask: amfbench result line lacks {name}");
+            return None;
+        };
+        let sep = if i + 1 < ONLINE_COUNTERS.len() {
+            ","
+        } else {
+            ""
+        };
+        json.push_str(&format!("    \"{name}\": {v}{sep}\n"));
+    }
+    json.push_str("  }\n}\n");
+    if let Err(e) = std::fs::write(out, &json) {
+        eprintln!("xtask: cannot write {}: {e}", out.display());
+        return None;
+    }
+    println!("==> online work counters written: {}", out.display());
+    Some(json)
+}
+
+/// Compare the traced online pass's counters against the committed
+/// baseline, exactly: they count work, so any difference means the code
+/// does different work. A change that moves them re-records the baseline.
+fn check_online(fresh: &str, baseline: &str) -> bool {
+    let mut ok = true;
+    for name in ONLINE_COUNTERS {
+        let got = extract_number(fresh, name);
+        let want = extract_number(baseline, name);
+        if got.is_none() || got != want {
+            eprintln!(
+                "xtask: bench --check: online counter {name:?} diverged from baseline \
+                 (baseline {want:?}, fresh {got:?})"
+            );
+            ok = false;
+        }
+    }
+    if ok {
+        println!("==> bench --check: online work counters match the baseline");
+    }
+    ok
+}
+
 fn bench(opts: &BenchOptions) -> ExitCode {
     let root = workspace_root();
     let mut ok = true;
     for (bin, report, keys) in [
         ("bench_solver", "BENCH_solver.json", BENCH_SOLVER_KEYS),
         ("bench_serve", "BENCH_serve.json", BENCH_SERVE_KEYS),
+        ("amfbench", "BENCH_online.json", &[][..]),
     ] {
         let committed = root.join(report);
         // In check mode the committed baseline is the reference: read it
@@ -453,13 +579,18 @@ fn bench(opts: &BenchOptions) -> ExitCode {
         } else {
             (committed, None)
         };
-        let Some(fresh) = bench_bin(bin, &out, keys, opts.smoke) else {
+        let fresh = match bin {
+            "amfbench" => bench_online(&out),
+            _ => bench_bin(bin, &out, keys, opts.smoke),
+        };
+        let Some(fresh) = fresh else {
             ok = false;
             continue;
         };
         if let Some(baseline) = baseline {
             ok &= match bin {
                 "bench_solver" => check_solver(&fresh, &baseline, opts.smoke, opts.tolerance),
+                "amfbench" => check_online(&fresh, &baseline),
                 _ => check_serve(&fresh, &baseline, opts.smoke, opts.tolerance),
             };
         }
