@@ -13,7 +13,7 @@
 //!   visible (no coordinated omission);
 //! * `coalescing` — the same burst script against a coalescing server and
 //!   an eager (`coalesce = false`) server, comparing solves-per-request:
-//!   staging merges each burst into one repair pass at `Solve`.
+//!   staging merges each burst into one solve at `Solve`.
 //!
 //! Every arm audits a sampled fraction of `Solve` replies with
 //! `amf-audit` against a client-side mirror of the session (the thread

@@ -16,7 +16,7 @@
 //!   the CSR arena is meant to move;
 //! * `event_loop` — online simulation throughput on a staggered-arrival
 //!   400×20 trace with capacity events: the delta-driven incremental
-//!   session vs per-event from-scratch solves, with replay counters and a
+//!   session vs per-event from-scratch solves, with round counters and a
 //!   report-agreement verdict.
 //!
 //! v4 drops the arms and kernel row of the deleted alternatives
@@ -127,10 +127,10 @@ struct EventLoopSection {
     from_scratch_ms: f64,
     incremental_ms: f64,
     speedup_vs_from_scratch: f64,
-    /// Freeze rounds the incremental session replayed from its cached
-    /// round log across the whole event loop.
+    /// Freeze rounds replayed from a cache; always 0, as the session
+    /// solves every round.
     rounds_replayed: usize,
-    /// Freeze rounds the incremental session had to re-solve.
+    /// Freeze rounds the incremental session solved.
     rounds_resolved: usize,
     dinkelbach_iterations: usize,
     max_flows: usize,

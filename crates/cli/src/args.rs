@@ -42,8 +42,9 @@ NOTES:
          --load RHO adds Poisson arrivals at offered load RHO (default: batch).
     solve: --explain prints the freeze rounds (AMF policies only).
     simulate: --incremental feeds the event loop through a persistent
-         delta-driven AMF session (same results, fewer re-solves) and
-         reports how many freeze rounds were replayed vs. re-solved.
+         delta-driven AMF session (same results, one reused solver pool)
+         and reports how many freeze rounds were replayed (always 0)
+         vs. solved.
 ";
 
 /// Parameters of `amf gen`.

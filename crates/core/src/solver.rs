@@ -142,13 +142,13 @@ pub struct SolveStats {
     /// reachability sweeps — the entire cost of clearing visited sets under
     /// the word-packed layout (from the [`FlowScratch`] counters).
     pub bitset_words_cleared: u64,
-    /// Freeze rounds an incremental session verified against its cached
-    /// round log and replayed without re-solving (always 0 on a
-    /// from-scratch solve).
+    /// Freeze rounds replayed from a cache instead of solved. Always 0:
+    /// every round is solved. Kept because the benchmark reports and the
+    /// CLI print it.
     pub rounds_replayed: usize,
-    /// Freeze rounds an incremental session had to re-solve by Dinkelbach
-    /// descent after a delta invalidated the cached suffix (always 0 on a
-    /// from-scratch solve, where `rounds` counts that work).
+    /// Freeze rounds an [`IncrementalAmf`](crate::IncrementalAmf) session
+    /// solved: equal to `rounds` on a session solve, 0 on a direct
+    /// [`AmfSolver`] solve.
     pub rounds_resolved: usize,
     /// Rounds in which the `f64` safety net froze every remaining job at
     /// the current level because no job was demand-capped or bottlenecked
@@ -162,8 +162,8 @@ pub struct SolveStats {
 
 impl SolveStats {
     /// Fold another run's *work* counters into this one — everything except
-    /// the round-log bookkeeping fields (`rounds`, `rounds_replayed`,
-    /// `rounds_resolved`), which callers account for separately. Every add
+    /// the round counters (`rounds`, `rounds_replayed`, `rounds_resolved`),
+    /// which callers account for separately. Every add
     /// saturates: long-lived incremental sessions accumulate these across
     /// an unbounded number of solves, and a counter pinned at its ceiling
     /// beats a silently wrapped one.

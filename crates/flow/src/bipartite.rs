@@ -5,8 +5,8 @@ use crate::graph::{EdgeId, FlowNetwork, NodeId};
 use crate::scratch::FlowScratch;
 use amf_numeric::{max2, min2, Scalar};
 
-/// Recycled [`AllocationNetwork`] side structures (edge-id maps, liveness
-/// flags), stashed in the [`FlowScratch`] by
+/// Recycled [`AllocationNetwork`] side structures (edge-id maps), stashed
+/// in the [`FlowScratch`] by
 /// [`AllocationNetwork::take_scratch`] so the solver's per-contraction
 /// rebuild reuses every vector instead of reallocating them.
 #[derive(Debug, Clone, Default)]
@@ -14,10 +14,17 @@ pub(crate) struct AllocSpares {
     pub(crate) job_cap_edges: Vec<EdgeId>,
     pub(crate) site_cap_edges: Vec<EdgeId>,
     pub(crate) demand_edges: Vec<Vec<(usize, EdgeId)>>,
-    pub(crate) job_nodes: Vec<NodeId>,
-    pub(crate) site_nodes: Vec<NodeId>,
-    pub(crate) live: Vec<bool>,
-    pub(crate) free_slots: Vec<usize>,
+}
+
+/// Node id of job `j`: nodes 0 and 1 are the source and the sink, the
+/// jobs follow, then the sites.
+fn job_node(j: usize) -> NodeId {
+    (2 + j) as NodeId
+}
+
+/// Node id of site `s` in a network of `n_jobs` jobs.
+fn site_node(n_jobs: usize, s: usize) -> NodeId {
+    (2 + n_jobs + s) as NodeId
 }
 
 /// Bipartite allocation network
@@ -46,15 +53,6 @@ pub struct AllocationNetwork<S> {
     site_cap_edges: Vec<EdgeId>,
     /// Per job: `(site, edge)` for every strictly positive demand.
     demand_edges: Vec<Vec<(usize, EdgeId)>>,
-    /// Node id of each job slot (stable across add/remove; appended jobs
-    /// land after the site nodes, so the id is stored, not computed).
-    job_nodes: Vec<NodeId>,
-    site_nodes: Vec<NodeId>,
-    /// Whether each job slot currently holds a live job. Retired slots keep
-    /// their node and source edge (at capacity zero) and are reused by
-    /// [`add_job`](Self::add_job) before any new node is appended.
-    live: Vec<bool>,
-    free_slots: Vec<usize>,
     scratch: FlowScratch<S>,
 }
 
@@ -128,15 +126,10 @@ impl<S: Scalar> AllocationNetwork<S> {
             mut job_cap_edges,
             mut site_cap_edges,
             mut demand_edges,
-            mut job_nodes,
-            mut site_nodes,
-            mut live,
-            mut free_slots,
         } = std::mem::take(&mut scratch.alloc_spares);
         let source: NodeId = 0;
         let sink: NodeId = 1;
-        let job_node = |j: usize| (2 + j) as NodeId;
-        let site_node = |s: usize| (2 + n_jobs + s) as NodeId;
+        let site_node = |s: usize| site_node(n_jobs, s);
 
         job_cap_edges.clear();
         job_cap_edges.extend((0..n_jobs).map(|j| net.add_edge(source, job_node(j), S::ZERO)));
@@ -160,13 +153,6 @@ impl<S: Scalar> AllocationNetwork<S> {
             assert!(!(c < S::ZERO), "negative capacity c[{s}]");
             net.add_edge(site_node(s), sink, c)
         }));
-        job_nodes.clear();
-        job_nodes.extend((0..n_jobs).map(job_node));
-        site_nodes.clear();
-        site_nodes.extend((0..n_sites).map(site_node));
-        live.clear();
-        live.resize(n_jobs, true);
-        free_slots.clear();
 
         AllocationNetwork {
             net,
@@ -177,10 +163,6 @@ impl<S: Scalar> AllocationNetwork<S> {
             job_cap_edges,
             site_cap_edges,
             demand_edges,
-            job_nodes,
-            site_nodes,
-            live,
-            free_slots,
             scratch,
         }
     }
@@ -197,10 +179,6 @@ impl<S: Scalar> AllocationNetwork<S> {
             job_cap_edges: std::mem::take(&mut self.job_cap_edges),
             site_cap_edges: std::mem::take(&mut self.site_cap_edges),
             demand_edges: std::mem::take(&mut self.demand_edges),
-            job_nodes: std::mem::take(&mut self.job_nodes),
-            site_nodes: std::mem::take(&mut self.site_nodes),
-            live: std::mem::take(&mut self.live),
-            free_slots: std::mem::take(&mut self.free_slots),
         };
         std::mem::take(&mut self.scratch)
     }
@@ -260,24 +238,15 @@ impl<S: Scalar> AllocationNetwork<S> {
 
     /// The full split as a dense `n_jobs x n_sites` matrix.
     pub fn split_matrix(&self) -> Vec<Vec<S>> {
-        let mut x = Vec::new();
-        self.split_into(&mut x);
-        x
-    }
-
-    /// Write the full split into a caller-provided matrix, reusing its row
-    /// allocations — the allocation-free form of
-    /// [`split_matrix`](Self::split_matrix) used by the incremental
-    /// session.
-    pub fn split_into(&self, out: &mut Vec<Vec<S>>) {
-        out.resize(self.n_jobs, Vec::new());
-        for (j, row) in out.iter_mut().enumerate() {
-            row.clear();
-            row.resize(self.n_sites, S::ZERO);
-            for &(s, e) in &self.demand_edges[j] {
-                row[s] = self.net.flow(e);
-            }
-        }
+        (0..self.n_jobs)
+            .map(|j| {
+                let mut row = vec![S::ZERO; self.n_sites];
+                for &(s, e) in &self.demand_edges[j] {
+                    row[s] = self.net.flow(e);
+                }
+                row
+            })
+            .collect()
     }
 
     /// Preload a known-feasible split (flows along source→job→site→sink for
@@ -339,11 +308,7 @@ impl<S: Scalar> AllocationNetwork<S> {
         self.net
             .residual_reachable_with(self.source, &mut self.scratch);
         out.clear();
-        out.extend(
-            self.job_nodes
-                .iter()
-                .map(|&v| self.scratch.is_seen(v as usize)),
-        );
+        out.extend((0..self.n_jobs).map(|j| self.scratch.is_seen(job_node(j) as usize)));
     }
 
     /// After a max flow: which job nodes and which site nodes still have a
@@ -355,179 +320,20 @@ impl<S: Scalar> AllocationNetwork<S> {
     pub fn sink_reachability_into(&mut self, jobs: &mut Vec<bool>, sites: &mut Vec<bool>) {
         self.net
             .residual_coreachable_with(self.sink, &mut self.scratch);
+        let n_jobs = self.n_jobs;
         jobs.clear();
-        jobs.extend(
-            self.job_nodes
-                .iter()
-                .map(|&v| self.scratch.is_seen(v as usize)),
-        );
+        jobs.extend((0..n_jobs).map(|j| self.scratch.is_seen(job_node(j) as usize)));
         sites.clear();
-        sites.extend(
-            self.site_nodes
-                .iter()
-                .map(|&v| self.scratch.is_seen(v as usize)),
-        );
-    }
-
-    // ----- In-place mutation & residual-flow repair (incremental sessions) -----
-    //
-    // These keep the warm flow alive across instance changes: instead of
-    // rebuilding the network (and rerunning max flow from zero), excess flow
-    // is *drained* — cancelled edge-locally along source→job→site→sink
-    // triples, which preserves conservation at every intermediate state —
-    // and the next `run_max_flow` only augments the difference.
-
-    /// Add a job with the given demand row and a zero source cap, reusing a
-    /// retired slot when one exists (its node and source edge come back into
-    /// service; fresh demand edges are appended for the new row). Returns
-    /// the slot index, which is stable for the job's whole lifetime.
-    ///
-    /// # Panics
-    /// Panics on a ragged or negative demand row.
-    pub fn add_job(&mut self, demands: &[S]) -> usize {
-        assert_eq!(
-            demands.len(),
-            self.n_sites,
-            "demand row length != site count"
-        );
-        for (s, d) in demands.iter().enumerate() {
-            assert!(!(*d < S::ZERO), "negative demand at site {s}");
-        }
-        let j = if let Some(slot) = self.free_slots.pop() {
-            slot
-        } else {
-            let node = self.net.add_node();
-            self.job_nodes.push(node);
-            let cap_edge = self.net.add_edge(self.source, node, S::ZERO);
-            self.job_cap_edges.push(cap_edge);
-            self.demand_edges.push(Vec::new());
-            self.live.push(false);
-            self.n_jobs += 1;
-            self.n_jobs - 1
-        };
-        debug_assert!(!self.live[j]);
-        debug_assert!(self.demand_edges[j].is_empty());
-        let node = self.job_nodes[j];
-        for (s, &d) in demands.iter().enumerate() {
-            if d.is_positive() {
-                let e = self.net.add_edge(node, self.site_nodes[s], d);
-                self.demand_edges[j].push((s, e));
-            }
-        }
-        self.live[j] = true;
-        j
-    }
-
-    /// Remove job `j`: cancel all its flow (demand edges, its source edge
-    /// and the matching site-edge shares), zero its capacities, and retire
-    /// the slot for reuse. Other jobs' flow is untouched — removing a job
-    /// only frees capacity, so the remaining flow stays feasible.
-    ///
-    /// # Panics
-    /// Panics if the slot is not live.
-    pub fn remove_job(&mut self, j: usize) {
-        assert!(self.live[j], "remove_job: slot {j} is not live");
-        let row = std::mem::take(&mut self.demand_edges[j]);
-        for &(s, e) in &row {
-            // Drain strictly positive flow, not merely `is_positive` flow:
-            // the retired edge's capacity drops to exactly zero below, so
-            // even sub-epsilon floating-point residue must be cancelled.
-            let v = self.net.flow(e);
-            if v > S::ZERO {
-                self.net.remove_flow(e, v);
-                self.net.remove_flow(self.site_cap_edges[s], v);
-            }
-            self.net.set_capacity(e, S::ZERO);
-        }
-        // The retired edges stay in the graph at capacity zero; the cleared
-        // row guarantees split/iteration code never sees them again.
-        let cap_edge = self.job_cap_edges[j];
-        let jf = self.net.flow(cap_edge);
-        if jf > S::ZERO {
-            self.net.remove_flow(cap_edge, jf);
-        }
-        self.net.set_capacity(cap_edge, S::ZERO);
-        self.live[j] = false;
-        self.free_slots.push(j);
-    }
-
-    /// Change site `s`'s capacity in place. Lowering it below the site's
-    /// committed flow first drains the excess back across incident demand
-    /// edges (and the owning jobs' source edges), so the surviving flow is
-    /// feasible for the new capacity before the edge shrinks.
-    pub fn set_site_capacity(&mut self, s: usize, capacity: S) {
-        assert!(!(capacity < S::ZERO), "negative capacity c[{s}]");
-        let edge = self.site_cap_edges[s];
-        let mut excess = self.net.flow(edge) - capacity;
-        if excess.is_positive() {
-            'drain: for j in 0..self.n_jobs {
-                for k in 0..self.demand_edges[j].len() {
-                    let (site, e) = self.demand_edges[j][k];
-                    if site != s {
-                        continue;
-                    }
-                    let v = self.net.flow(e);
-                    if v.is_positive() {
-                        let r = min2(v, excess);
-                        self.net.remove_flow(e, r);
-                        self.net.remove_flow(self.job_cap_edges[j], r);
-                        self.net.remove_flow(edge, r);
-                        excess -= r;
-                        if !excess.is_positive() {
-                            break 'drain;
-                        }
-                    }
-                }
-            }
-        }
-        // Widen by any floating-point hair the drain left behind (exact
-        // scalars drain to the capacity precisely) — same clamp idiom as the
-        // solver's warm-start target safety net.
-        let f = self.net.flow(edge);
-        self.net.set_capacity(edge, max2(capacity, f));
-    }
-
-    /// Change job `j`'s demand at site `s` in place. Lowering below the
-    /// edge's current flow drains the excess first; raising a demand that
-    /// was previously zero appends a fresh edge.
-    pub fn set_demand(&mut self, j: usize, s: usize, demand: S) {
-        assert!(self.live[j], "set_demand: slot {j} is not live");
-        assert!(!(demand < S::ZERO), "negative demand d[{j}][{s}]");
-        let mut found = None;
-        for k in 0..self.demand_edges[j].len() {
-            if self.demand_edges[j][k].0 == s {
-                found = Some(self.demand_edges[j][k].1);
-                break;
-            }
-        }
-        match found {
-            Some(e) => {
-                let excess = self.net.flow(e) - demand;
-                if excess.is_positive() {
-                    self.net.remove_flow(e, excess);
-                    self.net.remove_flow(self.job_cap_edges[j], excess);
-                    self.net.remove_flow(self.site_cap_edges[s], excess);
-                }
-                let f = self.net.flow(e);
-                self.net.set_capacity(e, max2(demand, f));
-            }
-            None => {
-                if demand.is_positive() {
-                    let e = self
-                        .net
-                        .add_edge(self.job_nodes[j], self.site_nodes[s], demand);
-                    self.demand_edges[j].push((s, e));
-                }
-            }
-        }
+        sites
+            .extend((0..self.n_sites).map(|s| self.scratch.is_seen(site_node(n_jobs, s) as usize)));
     }
 
     /// Drain job `j`'s flow down to at most `cap`, then set its source cap
     /// to `cap` (widened by any floating-point hair the drain left). This is
-    /// the incremental session's warm repair: when a job's water-level
-    /// target shrinks, only the excess above the new target is cancelled and
-    /// the rest of the warm flow survives — no global
-    /// [`reset_flow`](Self::reset_flow).
+    /// the solver's warm repair: when a job's water-level target shrinks,
+    /// only the excess above the new target is cancelled, edge-locally along
+    /// source→job→site→sink so conservation holds throughout, and the rest
+    /// of the warm flow survives — no global [`reset_flow`](Self::reset_flow).
     pub fn drain_job_to_cap(&mut self, j: usize, cap: S) {
         assert!(!(cap < S::ZERO), "negative job cap u[{j}]");
         let cap_edge = self.job_cap_edges[j];
@@ -551,62 +357,6 @@ impl<S: Scalar> AllocationNetwork<S> {
         let f = self.net.flow(cap_edge);
         self.net.set_capacity(cap_edge, max2(cap, f));
     }
-
-    /// Overwrite job `j`'s split with `row` (one entry per site): the old
-    /// flow is fully drained, the source cap becomes the row's total, and
-    /// each positive entry is re-pushed as flow, clamped against the demand
-    /// edge's and the site edge's residuals so the network stays feasible
-    /// even when `row` carries floating-point hair. This is the incremental
-    /// session's write-back after it delegates a suffix solve to the
-    /// from-scratch solver: the warm flow is re-seeded with the committed
-    /// allocation so the next delta's repair starts from it.
-    ///
-    /// # Panics
-    /// Panics if the slot is not live or `row` has the wrong length.
-    pub fn set_job_split(&mut self, j: usize, row: &[S]) {
-        assert!(self.live[j], "set_job_split: slot {j} is not live");
-        assert_eq!(row.len(), self.n_sites, "set_job_split: row length");
-        let cap_edge = self.job_cap_edges[j];
-        // Strictly positive drains (not eps-tolerant): the row is rebuilt
-        // from an exactly-zero base so exact scalars stay exact.
-        for k in 0..self.demand_edges[j].len() {
-            let (s, e) = self.demand_edges[j][k];
-            let v = self.net.flow(e);
-            if v > S::ZERO {
-                self.net.remove_flow(e, v);
-                self.net.remove_flow(self.site_cap_edges[s], v);
-            }
-        }
-        let jf = self.net.flow(cap_edge);
-        if jf > S::ZERO {
-            self.net.remove_flow(cap_edge, jf);
-        }
-        let mut total = S::ZERO;
-        for v in row {
-            total += *v;
-        }
-        self.net.set_capacity(cap_edge, total);
-        for k in 0..self.demand_edges[j].len() {
-            let (s, e) = self.demand_edges[j][k];
-            let want = row[s];
-            if !want.is_positive() {
-                continue;
-            }
-            let room = min2(
-                self.net.residual(cap_edge),
-                min2(
-                    self.net.residual(e),
-                    self.net.residual(self.site_cap_edges[s]),
-                ),
-            );
-            let amt = min2(want, room);
-            if amt.is_positive() {
-                self.net.add_flow(e, amt);
-                self.net.add_flow(cap_edge, amt);
-                self.net.add_flow(self.site_cap_edges[s], amt);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -629,11 +379,7 @@ mod tests {
         net.net.capacity(net.job_cap_edges[j])
     }
 
-    fn site_cap<S: Scalar>(net: &AllocationNetwork<S>, s: usize) -> S {
-        net.net.capacity(net.site_cap_edges[s])
-    }
-
-    /// Demand edges that can still carry flow (retired ones sit at zero).
+    /// Demand edges with positive capacity.
     fn open_demand_edges<S: Scalar>(net: &AllocationNetwork<S>) -> usize {
         net.demand_edges
             .iter()
@@ -781,6 +527,27 @@ mod tests {
     }
 
     #[test]
+    fn split_matrix_matches_job_splits() {
+        // Job 1 has no demand at site 1: its row keeps an explicit zero.
+        let demands = vec![vec![r(3), r(2)], vec![r(4), r(0)], vec![r(1), r(5)]];
+        let mut net = AllocationNetwork::new(&demands, &[r(5), r(4)]);
+        for j in 0..3 {
+            net.set_job_cap(j, r(3));
+        }
+        assert_eq!(net.run_max_flow(), r(9));
+        let x = net.split_matrix();
+        assert_eq!(x.len(), 3);
+        for (j, row) in x.iter().enumerate() {
+            assert_eq!(row.len(), 2);
+            assert_eq!(row.iter().copied().sum::<Rational>(), net.job_flow(j));
+            for (s, v) in net.job_split(j) {
+                assert_eq!(row[s], v);
+            }
+        }
+        assert_eq!(x[1][1], r(0));
+    }
+
+    #[test]
     fn preload_then_augment_reaches_max() {
         let demands = vec![vec![2.0, 2.0], vec![2.0, 2.0]];
         let caps = [3.0, 3.0];
@@ -837,103 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_job_drains_and_frees_slot() {
-        let demands = vec![vec![4.0, 0.0], vec![4.0, 4.0]];
-        let mut net = AllocationNetwork::new(&demands, &[6.0, 6.0]);
-        net.set_job_cap(0, 4.0);
-        net.set_job_cap(1, 8.0);
-        assert!((net.run_max_flow() - 10.0).abs() < 1e-12);
-        net.remove_job(0);
-        assert!(!net.live[0]);
-        assert_conserved(&net);
-        assert_eq!(net.job_flow(0), 0.0);
-        // Job 1 keeps its warm flow and can now grow into freed capacity.
-        assert!(net.job_flow(1) > 0.0);
-        let total = net.run_max_flow();
-        assert!((total - 8.0).abs() < 1e-12, "got {total}");
-        // The freed slot is reused by the next add_job.
-        let slot = net.add_job(&[1.0, 1.0]);
-        assert_eq!(slot, 0);
-        assert!(net.live[0]);
-        net.set_job_cap(0, 2.0);
-        let total = net.run_max_flow();
-        assert!((total - 10.0).abs() < 1e-12, "got {total}");
-        assert_conserved(&net);
-    }
-
-    #[test]
-    fn add_job_appends_node_when_no_free_slot() {
-        let demands = vec![vec![2.0]];
-        let mut net = AllocationNetwork::new(&demands, &[10.0]);
-        net.set_job_cap(0, 2.0);
-        net.run_max_flow();
-        let j = net.add_job(&[5.0]);
-        assert_eq!(j, 1);
-        assert_eq!(net.n_jobs, 2);
-        net.set_job_cap(j, 5.0);
-        let total = net.run_max_flow();
-        assert!((total - 7.0).abs() < 1e-12);
-        // Reachability buffers must track the appended node id: both jobs
-        // are fully satisfied (demand edges saturated), so neither grows,
-        // and the vector covers the appended slot.
-        let grow = growable_jobs(&mut net);
-        assert_eq!(grow, vec![false, false]);
-        net.set_demand(j, 0, 9.0);
-        let grow = growable_jobs(&mut net);
-        assert_eq!(grow, vec![false, true], "raised demand reopens growth");
-    }
-
-    #[test]
-    fn shrink_site_capacity_drains_excess() {
-        let demands = vec![vec![6.0], vec![6.0]];
-        let mut net = AllocationNetwork::new(&demands, &[12.0]);
-        net.set_job_cap(0, 6.0);
-        net.set_job_cap(1, 6.0);
-        assert!((net.run_max_flow() - 12.0).abs() < 1e-12);
-        net.set_site_capacity(0, 5.0);
-        assert_conserved(&net);
-        assert!((site_cap(&net, 0) - 5.0).abs() < 1e-9);
-        let total = net.total_flow();
-        assert!(total <= 5.0 + 1e-9, "drained flow {total} exceeds new cap");
-        // Remaining flow is still a valid warm start.
-        assert!((net.run_max_flow() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn grow_site_capacity_keeps_flow() {
-        let demands = vec![vec![8.0]];
-        let mut net = AllocationNetwork::new(&demands, &[4.0]);
-        net.set_job_cap(0, 8.0);
-        assert!((net.run_max_flow() - 4.0).abs() < 1e-12);
-        net.set_site_capacity(0, 8.0);
-        assert_eq!(net.total_flow(), 4.0, "raising capacity keeps warm flow");
-        assert!((net.run_max_flow() - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn set_demand_lowers_and_raises_in_place() {
-        let demands = vec![vec![4.0, 0.0]];
-        let mut net = AllocationNetwork::new(&demands, &[10.0, 10.0]);
-        net.set_job_cap(0, 4.0);
-        assert!((net.run_max_flow() - 4.0).abs() < 1e-12);
-        assert_eq!(open_demand_edges(&net), 1);
-        // Lowering below committed flow drains the edge.
-        net.set_demand(0, 0, 1.0);
-        assert_conserved(&net);
-        assert!(net.job_flow(0) <= 1.0 + 1e-12);
-        // A previously-zero demand gets a fresh edge.
-        net.set_demand(0, 1, 3.0);
-        assert_eq!(open_demand_edges(&net), 2);
-        let total = net.run_max_flow();
-        assert!((total - 4.0).abs() < 1e-12, "got {total}");
-        // Lowering to zero closes the edge.
-        net.set_demand(0, 1, 0.0);
-        assert_conserved(&net);
-        assert_eq!(open_demand_edges(&net), 1);
-        assert!(net.job_flow(0) <= 1.0 + 1e-12);
-    }
-
-    #[test]
     fn drain_job_to_cap_is_partial_reset() {
         let demands = vec![vec![3.0, 3.0], vec![3.0, 3.0]];
         let mut net = AllocationNetwork::new(&demands, &[4.0, 4.0]);
@@ -954,29 +624,20 @@ mod tests {
     }
 
     #[test]
-    fn rational_mutations_are_exact() {
+    fn rational_drain_is_exact() {
         let demands = vec![vec![r(6)], vec![r(6)]];
         let mut net = AllocationNetwork::new(&demands, &[r(6)]);
         net.set_job_cap(0, r(3));
         net.set_job_cap(1, r(3));
         assert_eq!(net.run_max_flow(), r(6));
-        net.set_site_capacity(0, r(4));
-        assert_eq!(net.total_flow(), r(4), "exact drain to the new capacity");
-        assert_eq!(site_cap(&net, 0), r(4));
-        net.remove_job(1);
-        assert_eq!(net.total_flow(), net.job_flow(0));
-        assert_eq!(net.run_max_flow(), r(3), "freed capacity reabsorbed");
         net.drain_job_to_cap(0, Rational::new(3, 2));
         assert_eq!(net.job_flow(0), Rational::new(3, 2));
         assert_eq!(job_cap(&net, 0), Rational::new(3, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "not live")]
-    fn removing_retired_slot_panics() {
-        let mut net = AllocationNetwork::new(&[vec![1.0]], &[1.0]);
-        net.remove_job(0);
-        net.remove_job(0);
+        assert_eq!(net.total_flow(), Rational::new(9, 2));
+        // The drained capacity goes to job 1 once its cap allows it.
+        net.set_job_cap(1, r(6));
+        assert_eq!(net.run_max_flow(), r(6));
+        assert_eq!(net.job_flow(1), Rational::new(9, 2));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Delta coalescing: merge the deltas staged between two solves so the
-//! session replays *one* batch instead of one repair pass per delta.
+//! session applies *one* batch and solves once instead of once per delta.
 //!
 //! A [`DeltaBatch`] sits in front of an [`IncrementalAmf`] session and
 //! absorbs deltas with the merge rules

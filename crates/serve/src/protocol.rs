@@ -235,7 +235,7 @@ impl std::error::Error for ProtocolError {}
 
 /// Serialize a message to its JSON payload bytes.
 pub fn encode<T: Serialize>(msg: &T) -> Vec<u8> {
-    serde_json::to_string(&msg.to_value())
+    serde_json::to_string(msg)
         .expect("protocol values contain no non-finite numbers")
         .into_bytes()
 }
@@ -359,6 +359,24 @@ mod tests {
             let back = decode_response(&bytes).expect("round trip");
             assert_eq!(back, resp);
         }
+    }
+
+    /// `encode` serializes the message once; the bytes are what rendering
+    /// its value tree gives.
+    #[test]
+    fn encode_renders_the_value_tree() {
+        let reply = Response::Solved {
+            job_ids: vec![3, 5, 9],
+            aggregates: vec![1.0 / 3.0, 2.0 / 3.0, 0.1 + 0.2],
+            split: vec![
+                vec![1.0 / 3.0, 0.0],
+                vec![1e-12, 2.0 / 3.0],
+                vec![0.3, 1e21],
+            ],
+            resolved: true,
+        };
+        let tree = serde_json::to_string(&reply.to_value()).unwrap();
+        assert_eq!(encode(&reply), tree.into_bytes());
     }
 
     #[test]

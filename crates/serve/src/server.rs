@@ -19,7 +19,7 @@
 //!   backpressure is visible to clients rather than silent.
 //! * **Coalescing** — with [`ServeConfig::coalesce`] on, `ApplyDeltas`
 //!   stages deltas in a per-tenant [`DeltaBatch`]; the next `Solve` applies
-//!   the merged batch as one repair/replay pass. Off, every `ApplyDeltas`
+//!   the merged batch and solves once. Off, every `ApplyDeltas`
 //!   applies and re-solves immediately (the baseline the serve bench
 //!   compares against).
 //! * **Shutdown** — `Shutdown` flips a flag, wakes everything, and drains:

@@ -1,8 +1,8 @@
 //! End-to-end server tests: session lifecycle with audited responses,
 //! concurrent multi-tenant traffic checked bit-identical against serial
 //! from-scratch solves on [`Rational`], deterministic overload rejection
-//! on bounded queues, graceful drain, and the coalescing-vs-eager solve
-//! count.
+//! on bounded queues, graceful drain, the coalescing-vs-eager solve
+//! count, and the ascending row order of `Solved` replies under churn.
 
 use std::time::{Duration, Instant};
 
@@ -140,6 +140,62 @@ fn lifecycle_solves_are_audit_certified() {
     let summary = server.join();
     assert_eq!(summary.sessions, 1);
     assert_eq!(summary.queued, 0, "drain leaves no queued work");
+}
+
+/// `Solved::job_ids` is documented as ascending with `split` rows in the
+/// same order. Churn that re-adds jobs after removals (higher ids landing
+/// among lower ones) must keep both true.
+#[test]
+fn solved_job_ids_stay_ascending_and_row_aligned_under_churn() {
+    let server = Server::<f64>::bind(local_cfg()).expect("bind ephemeral port");
+    let mut client = ServeClient::connect(server.addr()).expect("connect");
+    let caps = [4.0, 4.0, 4.0];
+    client.create_session("churn", &caps, None).expect("create");
+    // Job `id` demands 3 at site `id % 3` only, so a row paired with the
+    // wrong id puts flow where the mirror has no demand.
+    let row = |id: u64| {
+        let mut d = vec![0.0; 3];
+        d[(id % 3) as usize] = 3.0;
+        d
+    };
+    let add = |id: u64| WireDelta::AddJob {
+        id,
+        demands: row(id),
+        weight: None,
+    };
+    let remove = |id: u64| WireDelta::RemoveJob { id };
+    let bursts = [
+        (0..6).map(add).collect::<Vec<_>>(),
+        vec![remove(1), remove(3), add(7), add(8)],
+        vec![remove(0), add(10), remove(7), add(9), add(11)],
+    ];
+    let mut live = std::collections::BTreeSet::new();
+    for burst in &bursts {
+        client.apply_deltas("churn", burst).expect("apply");
+        for w in burst {
+            match w {
+                WireDelta::AddJob { id, .. } => live.insert(*id),
+                WireDelta::RemoveJob { id } => live.remove(id),
+                _ => unreachable!("churn sends adds and removes only"),
+            };
+        }
+        let reply = client.solve("churn").expect("solve");
+        assert!(
+            reply.job_ids.windows(2).all(|w| w[0] < w[1]),
+            "job ids not strictly ascending: {:?}",
+            reply.job_ids
+        );
+        assert!(reply.job_ids.iter().eq(live.iter()), "{:?}", reply.job_ids);
+        assert_eq!(reply.split.len(), reply.job_ids.len());
+        let demands = reply.job_ids.iter().map(|&id| row(id)).collect();
+        let inst = Instance::new(caps.to_vec(), demands).expect("mirror instance");
+        let alloc = Allocation::from_split(reply.split.clone());
+        assert!(alloc.is_feasible(&inst), "rows misaligned: {:?}", reply);
+        let report = audit(&inst, &alloc, FairnessMode::Plain);
+        assert!(report.is_certified_amf(), "{}", report.summary());
+    }
+    client.shutdown().expect("shutdown ack");
+    server.join();
 }
 
 #[test]

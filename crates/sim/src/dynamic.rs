@@ -42,7 +42,7 @@ pub trait IncrementalSession {
     /// `ctx.ids`.
     fn rates(&mut self, ctx: &SessionCtx<'_>) -> Vec<Vec<f64>>;
 
-    /// Cumulative solver statistics (rounds replayed vs. re-solved).
+    /// Cumulative solver statistics over the session's solves.
     fn stats(&self) -> SolveStats;
 }
 
@@ -164,8 +164,8 @@ impl DynamicPolicy for AmfBalanced {
 
 /// Delta-driven AMF: a [`DynamicPolicy`] whose
 /// [`incremental_session`](DynamicPolicy::incremental_session) wraps a
-/// persistent [`IncrementalAmf`] — the event loop feeds it deltas and
-/// cached freeze rounds are replayed instead of re-solved (see
+/// persistent [`IncrementalAmf`] — the event loop feeds it deltas instead
+/// of rebuilding an instance per event (see
 /// [`simulate_incremental`](crate::simulate_incremental)). The
 /// from-scratch fallback ([`allocate_dynamic`](DynamicPolicy::allocate_dynamic))
 /// applies the identical split strategy, so both paths produce the same
@@ -228,9 +228,9 @@ impl DynamicPolicy for AmfIncremental {
 }
 
 /// The [`IncrementalSession`] behind [`AmfIncremental`] and
-/// [`AmfBalanced`]: an [`IncrementalAmf`] plus the id↔slot bookkeeping
-/// that maps the session's dense output rows back to the engine's
-/// active-set order.
+/// [`AmfBalanced`]: an [`IncrementalAmf`] plus the id↔row bookkeeping
+/// that maps the session's output rows back to the engine's active-set
+/// order.
 struct AmfSession {
     session: IncrementalAmf<f64>,
     split: SplitStrategy,

@@ -139,7 +139,7 @@ impl Scheduler {
     }
 
     /// Cumulative solver statistics from the incremental session, if the
-    /// policy opened one (rounds replayed vs. re-solved across the run).
+    /// policy opened one (rounds and flow work across the run).
     pub fn session_stats(&self) -> Option<SolveStats> {
         self.session.as_ref().map(|s| s.stats())
     }
