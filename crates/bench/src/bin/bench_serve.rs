@@ -2,7 +2,7 @@
 //!
 //! Boots in-process servers on ephemeral ports and drives them over real
 //! TCP through the blocking [`ServeClient`], then writes a
-//! machine-readable report (schema `amf-bench-serve/v1`) with three arms:
+//! machine-readable report (schema `amf-bench-serve/v2`) with three arms:
 //!
 //! * `closed_loop` — one tenant, one connection, requests issued
 //!   back-to-back (next request after the previous reply): the intrinsic
@@ -11,9 +11,12 @@
 //!   firing requests on a seeded Poisson schedule; latency is measured
 //!   from the *scheduled* arrival instant, so queueing delay under load is
 //!   visible (no coordinated omission);
-//! * `coalescing` — the same burst script against a coalescing server and
-//!   an eager (`coalesce = false`) server, comparing solves-per-request:
-//!   staging merges each burst into one solve at `Solve`.
+//! * `coalescing` — bursts of single-delta requests, each followed by one
+//!   `Solve`: staging merges each burst into that one solve, so the run
+//!   takes exactly one solve per `Solve` request.
+//!
+//! v2 drops the eager (uncoalesced) arm and its `solve_reduction_factor`,
+//! as the server no longer has an eager mode.
 //!
 //! Every arm audits a sampled fraction of `Solve` replies with
 //! `amf-audit` against a client-side mirror of the session (the thread
@@ -76,11 +79,7 @@ struct ArmReport {
 struct CoalescingReport {
     rounds: usize,
     burst: usize,
-    eager: CoalesceArm,
     coalesced: CoalesceArm,
-    /// `eager.solves / coalesced.solves` — how much solver work staging
-    /// removes for the identical request stream.
-    solve_reduction_factor: f64,
 }
 
 #[derive(Serialize)]
@@ -459,21 +458,12 @@ fn open_loop(
     }
 }
 
-/// Run the coalescing burst script against one server configuration:
-/// `rounds` rounds of `burst` single-delta `ApplyDeltas` requests
-/// hammering a small key set, then one `Solve`. Returns the arm record.
-fn coalesce_arm(
-    name: &'static str,
-    coalesce: bool,
-    seed: u64,
-    rounds: usize,
-    burst: usize,
-) -> CoalesceArm {
-    let server = Server::<f64>::bind(ServeConfig {
-        coalesce,
-        ..ServeConfig::default()
-    })
-    .expect("bind");
+/// Run the coalescing burst script: `rounds` rounds of `burst`
+/// single-delta `ApplyDeltas` requests hammering a small key set, then one
+/// `Solve`. Returns the arm record.
+fn coalesce_arm(seed: u64, rounds: usize, burst: usize) -> CoalesceArm {
+    let name = "coalesced";
+    let server = Server::<f64>::bind(ServeConfig::default()).expect("bind");
     let mut client = ServeClient::connect(server.addr()).expect("connect");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut mirror = seed_tenant(&mut client, &mut rng, "bursty", &CAPS, 4);
@@ -548,23 +538,23 @@ fn main() {
         ol_per_thread,
         ol_rate,
     );
-    let eager = coalesce_arm("eager", false, seed.wrapping_add(2), rounds, burst);
-    let coalesced = coalesce_arm("coalesced", true, seed.wrapping_add(2), rounds, burst);
+    let coalesced = coalesce_arm(seed.wrapping_add(2), rounds, burst);
 
     let total_violations = closed.audit_violations + open.audit_violations;
     assert!(
         closed.audited_solves > 0 && open.audited_solves > 0,
         "load generator audited no solves — sampling misconfigured"
     );
-    assert!(
-        coalesced.solves < eager.solves,
-        "coalescing did not reduce solver work ({} vs {})",
+    // The seeding solve, then one per round: each burst is staged and
+    // merged into its round's `Solve`.
+    assert_eq!(
         coalesced.solves,
-        eager.solves
+        rounds as u64 + 1,
+        "coalescing did not merge each burst into one solve"
     );
 
     let report = Report {
-        schema: "amf-bench-serve/v1",
+        schema: "amf-bench-serve/v2",
         smoke,
         seed,
         hardware: Hardware {
@@ -580,8 +570,6 @@ fn main() {
         coalescing: CoalescingReport {
             rounds,
             burst,
-            solve_reduction_factor: eager.solves as f64 / coalesced.solves as f64,
-            eager,
             coalesced,
         },
     };

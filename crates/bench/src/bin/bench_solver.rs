@@ -2,7 +2,7 @@
 //!
 //! Measures the solver (contracted network, Dinkelbach descent, warm
 //! starts, Dinic) on a fixed instance sweep and writes a machine-readable
-//! report (schema `amf-bench-solver/v4`) with five sections:
+//! report (schema `amf-bench-solver/v5`) with five sections:
 //!
 //! * `sweep` — per-point wall time (min of reps after a warm-up) of the
 //!   `contracted-dinic` arm, with work counters (rounds, max flows, edges
@@ -14,13 +14,15 @@
 //! * `kernels` — raw Dinic max-flow micro-timing, with per-run edges
 //!   visited and the derived ns/edge figure, the layout-sensitive number
 //!   the CSR arena is meant to move;
-//! * `event_loop` — online simulation throughput on a staggered-arrival
-//!   400×20 trace with capacity events: the delta-driven incremental
-//!   session vs per-event from-scratch solves, with round counters and a
-//!   report-agreement verdict.
+//! * `event_loop` — online simulation wall time on a staggered-arrival
+//!   400×20 trace with capacity events, re-solved from scratch at every
+//!   scheduling event on one pooled solver (`simulate_with_capacity_events`,
+//!   the `amf simulate --jct-addon` path).
 //!
-//! v4 drops the arms and kernel row of the deleted alternatives
-//! (full-network path, push–relabel and `Auto` backends) and replaces the
+//! v5 drops the event loop's incremental-session arm and its counters;
+//! the same loop's work is pinned exactly by `BENCH_online.json`. v4
+//! dropped the arms and kernel row of the deleted alternatives
+//! (full-network path, push–relabel and `Auto` backends) and replaced the
 //! timed `legacy_ms` headline with the pinned `legacy_full_baseline_ms`.
 //!
 //! Flags: `--smoke` (1 rep, small batch — CI wiring check), `--out PATH`
@@ -30,10 +32,7 @@ use amf_audit::audit;
 use amf_bench::experiments::skewed_workload;
 use amf_core::{AmfSolver, FairnessMode, Instance, SolveOutput, SolverPool};
 use amf_flow::AllocationNetwork;
-use amf_sim::{
-    simulate_incremental_with_stats, simulate_with_capacity_events, AmfIncremental, CapacityEvent,
-    SimConfig, SimReport, SplitStrategy,
-};
+use amf_sim::{simulate_with_capacity_events, CapacityEvent, SimConfig, SplitStrategy};
 use amf_workload::trace::Trace;
 use serde::Serialize;
 use std::time::Instant;
@@ -122,21 +121,9 @@ struct EventLoopSection {
     sites: usize,
     capacity_events: usize,
     /// Scheduling events (arrival / portion completion / departure /
-    /// capacity change) — identical for both arms when the reports agree.
+    /// capacity change), one solve and split each.
     reallocations: usize,
     from_scratch_ms: f64,
-    incremental_ms: f64,
-    speedup_vs_from_scratch: f64,
-    /// Freeze rounds replayed from a cache; always 0, as the session
-    /// solves every round.
-    rounds_replayed: usize,
-    /// Freeze rounds the incremental session solved.
-    rounds_resolved: usize,
-    dinkelbach_iterations: usize,
-    max_flows: usize,
-    /// Both engines produced the same report (completions within 1e-6,
-    /// equal reallocation counts and makespan).
-    reports_agree: bool,
 }
 
 #[derive(Serialize)]
@@ -293,38 +280,16 @@ fn kernel_timings(smoke: bool, reps: usize) -> Vec<KernelTiming> {
     }]
 }
 
-/// Whether two simulation reports describe the same trajectory: equal
-/// reallocation counts, makespans and per-job completions within 1e-6.
-fn reports_agree(a: &SimReport, b: &SimReport) -> bool {
-    if a.jobs.len() != b.jobs.len() || a.reallocations != b.reallocations {
-        return false;
-    }
-    if (a.makespan - b.makespan).abs() > 1e-6 * (1.0 + a.makespan.abs()) {
-        return false;
-    }
-    a.jobs
-        .iter()
-        .zip(&b.jobs)
-        .all(|(x, y)| match (x.completion, y.completion) {
-            (Some(p), Some(q)) => (p - q).abs() <= 1e-6 * (1.0 + p.abs().max(q.abs())),
-            (None, None) => true,
-            _ => false,
-        })
-}
-
 /// Online event-loop throughput: a staggered-arrival trace plus capacity
-/// events, solved per scheduling event either from scratch (through a
-/// persistent [`SolverPool`]) or by the delta-driven incremental session.
-/// Both arms use the balanced-progress split, which is a pure function of
-/// the (unique) fair aggregates — so the two engines must follow the same
-/// trajectory and their reports are asserted to agree.
+/// events, solved from scratch per scheduling event through one persistent
+/// [`SolverPool`], then split with the balanced-progress JCT add-on.
 fn event_loop_section(smoke: bool, reps: usize) -> EventLoopSection {
     let (n, m) = if smoke { (60, 10) } else { (400, 20) };
     let mut workload = skewed_workload(1.2, n, m, m.min(5), 99);
     let base_cap = 15.0 * n as f64 / m as f64;
     workload.capacities = vec![base_cap; m];
     // Jobs trickle in over 50 time units, so most scheduling events touch a
-    // single job — the case the delta path is built for.
+    // single job.
     let arrivals: Vec<f64> = (0..n).map(|j| j as f64 * 50.0 / n as f64).collect();
     let trace = Trace::with_arrivals(&workload, &arrivals);
     let mut events = Vec::new();
@@ -342,48 +307,30 @@ fn event_loop_section(smoke: bool, reps: usize) -> EventLoopSection {
             capacity: base_cap,
         });
     }
-    let split = SplitStrategy::BalancedProgress { repair_rounds: 4 };
     let config = SimConfig {
-        split,
+        split: SplitStrategy::BalancedProgress { repair_rounds: 4 },
         ..SimConfig::default()
     };
     let solver = AmfSolver::new();
 
-    let mut scratch_report = simulate_with_capacity_events(&trace, &solver, &config, &events);
+    let mut report = simulate_with_capacity_events(&trace, &solver, &config, &events);
     let mut from_scratch_ms = f64::INFINITY;
     for _ in 0..reps {
         let t0 = Instant::now();
-        scratch_report = simulate_with_capacity_events(&trace, &solver, &config, &events);
+        report = simulate_with_capacity_events(&trace, &solver, &config, &events);
         from_scratch_ms = from_scratch_ms.min(t0.elapsed().as_secs_f64() * 1e3);
     }
 
-    let policy = AmfIncremental::with_split(solver, split);
-    let (mut incr_report, mut stats) =
-        simulate_incremental_with_stats(&trace, &policy, &config, &events);
-    let mut incremental_ms = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let (report, s) = simulate_incremental_with_stats(&trace, &policy, &config, &events);
-        incremental_ms = incremental_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        incr_report = report;
-        stats = s;
-    }
-    assert!(stats.incremental, "AmfIncremental must provide a session");
-
-    let agree = reports_agree(&scratch_report, &incr_report);
+    assert!(
+        report.all_finished(),
+        "the event-loop trace runs to completion"
+    );
     EventLoopSection {
         jobs: n,
         sites: m,
         capacity_events: events.len(),
-        reallocations: incr_report.reallocations,
+        reallocations: report.reallocations,
         from_scratch_ms,
-        incremental_ms,
-        speedup_vs_from_scratch: from_scratch_ms / incremental_ms,
-        rounds_replayed: stats.rounds_replayed,
-        rounds_resolved: stats.rounds_resolved,
-        dinkelbach_iterations: stats.dinkelbach_iterations,
-        max_flows: stats.max_flows,
-        reports_agree: agree,
     }
 }
 
@@ -424,11 +371,11 @@ fn main() {
     let batch = batch_section(smoke, reps);
     eprintln!("bench_solver: kernel micro-timings...");
     let kernels = kernel_timings(smoke, reps);
-    eprintln!("bench_solver: online event loop (incremental vs from-scratch)...");
+    eprintln!("bench_solver: online event loop...");
     let event_loop = event_loop_section(smoke, reps);
 
     let report = Report {
-        schema: "amf-bench-solver/v4",
+        schema: "amf-bench-solver/v5",
         smoke,
         reps,
         hardware: Hardware {
@@ -456,15 +403,10 @@ fn main() {
         SEED_BASELINE_400X20_MS,
     );
     println!(
-        "event loop {}x{}: incremental {:.4} ms vs from-scratch {:.4} ms ({:.2}x), \
-         {} rounds replayed / {} re-solved over {} reallocations",
+        "event loop {}x{}: from-scratch {:.4} ms over {} reallocations",
         report.event_loop.jobs,
         report.event_loop.sites,
-        report.event_loop.incremental_ms,
         report.event_loop.from_scratch_ms,
-        report.event_loop.speedup_vs_from_scratch,
-        report.event_loop.rounds_replayed,
-        report.event_loop.rounds_resolved,
         report.event_loop.reallocations,
     );
     for point in &report.sweep {
@@ -474,8 +416,4 @@ fn main() {
             point.jobs, point.sites
         );
     }
-    assert!(
-        report.event_loop.reports_agree,
-        "incremental and from-scratch engines disagree on the event-loop trace"
-    );
 }

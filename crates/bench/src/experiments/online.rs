@@ -1,12 +1,9 @@
 //! E7 — online simulation with Poisson arrivals across offered loads.
 
 use crate::ExpContext;
-use amf_core::{AllocationPolicy, AmfSolver, PerSiteMaxMin};
+use amf_core::{AllocationPolicy, AmfSolver, PerSiteMaxMin, PooledAmf};
 use amf_metrics::{fmt2, fmt4, percentile, Table};
-use amf_sim::{
-    simulate_incremental_with_stats, simulate_many, AmfIncremental, SimConfig, SimReport,
-    SplitStrategy,
-};
+use amf_sim::{simulate_many, SimConfig, SimReport, SplitStrategy};
 use amf_workload::arrivals::{poisson_arrivals, rate_for_load};
 use amf_workload::trace::Trace;
 use amf_workload::{CapacityModel, DemandModel, SitePlacement, SiteSkew, SizeDist, WorkloadConfig};
@@ -62,24 +59,42 @@ impl OnlineParams {
     }
 }
 
+/// The E7 trace of one `(load, seed)` cell: a Zipf-skewed elastic
+/// workload with Poisson arrivals at offered load `rho`.
+fn e7_trace(params: &OnlineParams, rho: f64, seed: u64) -> Trace {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31) + 17);
+    let workload = WorkloadConfig {
+        n_sites: params.n_sites,
+        site_capacity: 100.0,
+        capacity_model: CapacityModel::Uniform,
+        n_jobs: params.n_jobs,
+        sites_per_job: params.sites_per_job,
+        total_work: SizeDist::Exponential {
+            mean: params.mean_work,
+        },
+        total_parallelism: SizeDist::Constant { value: 30.0 },
+        skew: SiteSkew::Zipf {
+            alpha: params.alpha,
+        },
+        placement: SitePlacement::Popularity { gamma: 1.0 },
+        demand_model: DemandModel::ElasticPerSite,
+    }
+    .generate(&mut rng);
+    let total_capacity = 100.0 * params.n_sites as f64;
+    let rate = rate_for_load(rho, total_capacity, params.mean_work);
+    let arrivals = poisson_arrivals(params.n_jobs, rate, &mut rng);
+    Trace::with_arrivals(&workload, &arrivals)
+}
+
 /// E7: mean and tail JCT under Poisson arrivals as offered load grows,
 /// AMF (+ JCT add-on) vs the per-site baseline.
 pub fn online_load(ctx: &ExpContext, params: &OnlineParams) -> Table {
     ctx.log(&format!("[E7] online load sweep: {params:?}"));
-    /// How a contender's event loop runs: through a persistent
-    /// delta-driven AMF session (DESIGN.md §2.7), or by from-scratch
-    /// policy re-solves on every scheduling event.
-    enum Arm {
-        Incremental,
-        Policy(fn() -> Box<dyn AllocationPolicy<f64>>),
-    }
-    let contenders: Vec<(&'static str, Arm, SimConfig)> = vec![
+    type MakePolicy = fn() -> Box<dyn AllocationPolicy<f64>>;
+    let contenders: Vec<(&'static str, MakePolicy, SimConfig)> = vec![
         (
-            // The incremental engine's results are identical to
-            // from-scratch re-solves — the
-            // `e7_incremental_engine_matches_from_scratch` test pins that.
             "amf+jct",
-            Arm::Incremental,
+            || Box::new(PooledAmf::<f64>::new(AmfSolver::new())),
             SimConfig {
                 split: SplitStrategy::BalancedProgress { repair_rounds: 4 },
                 ..SimConfig::default()
@@ -87,7 +102,7 @@ pub fn online_load(ctx: &ExpContext, params: &OnlineParams) -> Table {
         ),
         (
             "per-site-max-min",
-            Arm::Policy(|| Box::new(PerSiteMaxMin)),
+            || Box::new(PerSiteMaxMin),
             SimConfig {
                 split: SplitStrategy::PolicySplit,
                 ..SimConfig::default()
@@ -103,45 +118,10 @@ pub fn online_load(ctx: &ExpContext, params: &OnlineParams) -> Table {
             // Build every seed's trace up front, then fan the batch out to
             // worker threads (one pooled policy instance per worker).
             let traces: Vec<Trace> = (0..params.seeds)
-                .map(|seed| {
-                    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31) + 17);
-                    let workload = WorkloadConfig {
-                        n_sites: params.n_sites,
-                        site_capacity: 100.0,
-                        capacity_model: CapacityModel::Uniform,
-                        n_jobs: params.n_jobs,
-                        sites_per_job: params.sites_per_job,
-                        total_work: SizeDist::Exponential {
-                            mean: params.mean_work,
-                        },
-                        total_parallelism: SizeDist::Constant { value: 30.0 },
-                        skew: SiteSkew::Zipf {
-                            alpha: params.alpha,
-                        },
-                        placement: SitePlacement::Popularity { gamma: 1.0 },
-                        demand_model: DemandModel::ElasticPerSite,
-                    }
-                    .generate(&mut rng);
-                    let total_capacity = 100.0 * params.n_sites as f64;
-                    let rate = rate_for_load(rho, total_capacity, params.mean_work);
-                    let arrivals = poisson_arrivals(params.n_jobs, rate, &mut rng);
-                    Trace::with_arrivals(&workload, &arrivals)
-                })
+                .map(|seed| e7_trace(params, rho, seed))
                 .collect();
-            for (c, (_, arm, config)) in contenders.iter().enumerate() {
-                let reports: Vec<SimReport> = match arm {
-                    Arm::Incremental => traces
-                        .iter()
-                        .map(|trace| {
-                            let policy = AmfIncremental::with_split(
-                                AmfSolver::new(),
-                                SplitStrategy::BalancedProgress { repair_rounds: 4 },
-                            );
-                            simulate_incremental_with_stats(trace, &policy, config, &[]).0
-                        })
-                        .collect(),
-                    Arm::Policy(make_policy) => simulate_many(&traces, make_policy, config),
-                };
+            for (c, (_, make_policy, config)) in contenders.iter().enumerate() {
+                let reports: Vec<SimReport> = simulate_many(&traces, make_policy, config);
                 for report in reports {
                     let jcts = report.jcts();
                     acc[c].0 += report.mean_jct();
@@ -180,7 +160,7 @@ pub fn online_load(ctx: &ExpContext, params: &OnlineParams) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amf_core::PooledAmf;
+    use amf_metrics::ToCsv;
     use amf_sim::simulate;
 
     #[test]
@@ -189,62 +169,36 @@ mod tests {
         assert_eq!(table.n_rows(), 2);
     }
 
-    /// The E7 AMF arm runs through the incremental engine; this pins that
-    /// it reports exactly what per-event from-scratch re-solves report
-    /// (BalancedProgress splits are a pure function of the unique fair
-    /// aggregates, so the two trajectories coincide).
     #[test]
-    fn e7_incremental_engine_matches_from_scratch() {
-        let params = OnlineParams::fast();
-        let mut rng = StdRng::seed_from_u64(41);
-        let workload = WorkloadConfig {
-            n_sites: params.n_sites,
-            site_capacity: 100.0,
-            capacity_model: CapacityModel::Uniform,
-            n_jobs: params.n_jobs,
-            sites_per_job: params.sites_per_job,
-            total_work: SizeDist::Exponential {
-                mean: params.mean_work,
-            },
-            total_parallelism: SizeDist::Constant { value: 30.0 },
-            skew: SiteSkew::Zipf {
-                alpha: params.alpha,
-            },
-            placement: SitePlacement::Popularity { gamma: 1.0 },
-            demand_model: DemandModel::ElasticPerSite,
-        }
-        .generate(&mut rng);
-        let rate = rate_for_load(0.7, 100.0 * params.n_sites as f64, params.mean_work);
-        let arrivals = poisson_arrivals(params.n_jobs, rate, &mut rng);
-        let trace = Trace::with_arrivals(&workload, &arrivals);
+    fn e7_amf_row_matches_sequential_simulate() {
+        // The AMF arm fans seeds out over pooled solvers; its row must be
+        // what one plain solver reports when run over each trace in turn.
+        let params = OnlineParams {
+            seeds: 3,
+            ..OnlineParams::fast()
+        };
+        let table = online_load(&ExpContext::silent(), &params);
+        let rho = params.loads[0];
         let config = SimConfig {
             split: SplitStrategy::BalancedProgress { repair_rounds: 4 },
             ..SimConfig::default()
         };
-
-        let scratch = simulate(&trace, &PooledAmf::<f64>::new(AmfSolver::new()), &config);
-        let policy = AmfIncremental::with_split(
-            AmfSolver::new(),
-            SplitStrategy::BalancedProgress { repair_rounds: 4 },
-        );
-        let (incremental, stats) = simulate_incremental_with_stats(&trace, &policy, &config, &[]);
-
-        assert!(stats.incremental, "the AMF arm must use the session engine");
-        assert_eq!(incremental.jobs.len(), scratch.jobs.len());
-        assert_eq!(incremental.reallocations, scratch.reallocations);
-        for (a, b) in incremental.jobs.iter().zip(&scratch.jobs) {
-            match (a.completion, b.completion) {
-                (Some(x), Some(y)) => assert!(
-                    (x - y).abs() < 1e-6 * (1.0 + y.abs()),
-                    "completion diverged: {x} vs {y}"
-                ),
-                (None, None) => {}
-                _ => panic!("one engine finished a job the other did not"),
-            }
+        let (mut mean, mut p95, mut util) = (0.0, 0.0, 0.0);
+        for seed in 0..params.seeds {
+            let report = simulate(&e7_trace(&params, rho, seed), &AmfSolver::new(), &config);
+            assert!(report.all_finished(), "seed {seed}");
+            mean += report.mean_jct();
+            p95 += percentile(&report.jcts(), 95.0);
+            util += report.mean_utilization;
         }
-        assert!(
-            (incremental.makespan - scratch.makespan).abs() < 1e-6 * (1.0 + scratch.makespan.abs()),
-            "makespan diverged"
+        let k = params.seeds as f64;
+        let row = format!(
+            "{rho:.2},amf+jct,{},{},{}",
+            fmt2(mean / k),
+            fmt2(p95 / k),
+            fmt4(util / k)
         );
+        let csv = table.to_csv();
+        assert!(csv.lines().any(|line| line == row), "{row:?} not in\n{csv}");
     }
 }

@@ -12,8 +12,7 @@ USAGE:
     amf solve    [--policy P] [--explain] [--dot] < trace.json
                                                 # allocation table / DOT graph
     amf simulate [--policy P] [--jct-addon] [--engine fluid|slots]
-                 [--incremental] < trace.json
-                 # --incremental: delta-driven AMF session (fluid engine only)
+                 < trace.json                   # JCT report
     amf check    < trace.json                   # fairness properties of AMF
     amf audit    [--policy P] [--mode plain|enhanced] [--json] < trace.json
                  # certificate-based audit of the policy's allocation
@@ -22,7 +21,7 @@ USAGE:
                  #             \"jobs\": [{\"demand\": [1, 4],
                  #                       \"max_tasks\": null, \"weight\": 1.0}]}
     amf serve    [--addr H:P] [--workers N] [--shards K] [--queue-cap Q]
-                 [--no-coalesce] [--scalar f64|rational] [--port-file PATH]
+                 [--scalar f64|rational] [--port-file PATH]
                  # multi-tenant allocation server; blocks until a client
                  # sends Shutdown, then prints the drain summary
     amf client --addr H:P <action>              # one request per invocation
@@ -41,10 +40,6 @@ NOTES:
     gen: --alpha sets Zipf skew of per-job site shares (default 0 = uniform);
          --load RHO adds Poisson arrivals at offered load RHO (default: batch).
     solve: --explain prints the freeze rounds (AMF policies only).
-    simulate: --incremental feeds the event loop through a persistent
-         delta-driven AMF session (same results, one reused solver pool)
-         and reports how many freeze rounds were replayed (always 0)
-         vs. solved.
 ";
 
 /// Parameters of `amf gen`.
@@ -84,8 +79,6 @@ pub struct SimulateParams {
     pub jct_addon: bool,
     /// Execution engine: "fluid" (default) or "slots".
     pub engine: String,
-    /// Drive the event loop through a persistent incremental AMF session.
-    pub incremental: bool,
 }
 
 /// Parameters of `amf audit`.
@@ -111,8 +104,6 @@ pub struct ServeParams {
     pub shards: Option<usize>,
     /// Admission-queue capacity per shard (None = server default).
     pub queue_cap: Option<usize>,
-    /// Delta coalescing (disabled by `--no-coalesce`).
-    pub coalesce: bool,
     /// Session scalar: "f64" (default) or "rational".
     pub scalar: String,
     /// Write the bound address to this file once listening (for scripts
@@ -314,24 +305,17 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 "simulate",
                 &argv[1..],
                 "--policy --engine",
-                "--jct-addon --incremental",
+                "--jct-addon",
                 0,
             )?;
             let engine = value_of(&argv[1..], "--engine")?.unwrap_or_else(|| "fluid".into());
             if engine != "fluid" && engine != "slots" {
                 return Err(ParseError(format!("unknown engine: {engine}")));
             }
-            let incremental = argv[1..].iter().any(|a| a == "--incremental");
-            if incremental && engine != "fluid" {
-                return Err(ParseError(format!(
-                    "--incremental requires the fluid engine (got {engine})"
-                )));
-            }
             Ok(Command::Simulate(SimulateParams {
                 policy: value_of(&argv[1..], "--policy")?.unwrap_or_else(|| "amf".into()),
                 jct_addon: argv[1..].iter().any(|a| a == "--jct-addon"),
                 engine,
-                incremental,
             }))
         }
         Some("check") => {
@@ -362,7 +346,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 "serve",
                 rest,
                 "--addr --workers --shards --queue-cap --scalar --port-file",
-                "--no-coalesce",
+                "",
                 0,
             )?;
             let scalar = value_of(rest, "--scalar")?.unwrap_or_else(|| "f64".into());
@@ -385,7 +369,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     Some(v) => Some(parse_num(&v, "--queue-cap")?),
                     None => None,
                 },
-                coalesce: !rest.iter().any(|a| a == "--no-coalesce"),
                 scalar,
                 port_file: value_of(rest, "--port-file")?,
             }))
@@ -561,7 +544,6 @@ mod tests {
                 policy: "per-site-max-min".into(),
                 jct_addon: true,
                 engine: "fluid".into(),
-                incremental: false,
             })
         );
         assert_eq!(
@@ -570,19 +552,8 @@ mod tests {
                 policy: "amf".into(),
                 jct_addon: false,
                 engine: "slots".into(),
-                incremental: false,
             })
         );
-        assert_eq!(
-            parse(&sv(&["simulate", "--incremental"])).unwrap(),
-            Command::Simulate(SimulateParams {
-                policy: "amf".into(),
-                jct_addon: false,
-                engine: "fluid".into(),
-                incremental: true,
-            })
-        );
-        assert!(parse(&sv(&["simulate", "--engine", "slots", "--incremental"])).is_err());
         assert!(parse(&sv(&["simulate", "--engine", "quantum"])).is_err());
     }
 
@@ -682,11 +653,11 @@ mod tests {
         for line in [
             "gen --jobs 8 --sites 3 --alpha 1.4 --sites-per-job 2 --seed 7 --load 0.5",
             "solve --policy amf --explain --dot",
-            "simulate --policy amf --jct-addon --engine fluid --incremental",
+            "simulate --policy amf --jct-addon --engine fluid",
             "check",
             "audit --policy amf-enhanced --mode enhanced --json",
             "drf",
-            "serve --addr 127.0.0.1:0 --workers 2 --shards 2 --queue-cap 8 --no-coalesce \
+            "serve --addr 127.0.0.1:0 --workers 2 --shards 2 --queue-cap 8 \
              --scalar rational --port-file /tmp/p",
             "client --addr a:1 create --tenant ci --capacities 6,4 --mode plain",
             "client --addr a:1 add-job --tenant ci --id 1 --demands 2,3 --weight 2",
@@ -698,6 +669,20 @@ mod tests {
         ] {
             let argv: Vec<&str> = line.split_whitespace().collect();
             assert!(parse(&sv(&argv)).is_ok(), "{line:?} failed to parse");
+        }
+    }
+
+    #[test]
+    fn usage_names_no_removed_flag() {
+        // Flags of deleted solver and engine paths; each is now rejected
+        // as unknown, so the help text must not offer it.
+        for flag in [
+            "--incremental",
+            "--no-coalesce",
+            "--backend",
+            "--no-contraction",
+        ] {
+            assert!(!USAGE.contains(flag), "USAGE still lists {flag}");
         }
     }
 
@@ -715,7 +700,6 @@ mod tests {
                 workers: None,
                 shards: None,
                 queue_cap: None,
-                coalesce: true,
                 scalar: "f64".into(),
                 port_file: None,
             })
@@ -731,7 +715,6 @@ mod tests {
                 "2",
                 "--queue-cap",
                 "64",
-                "--no-coalesce",
                 "--scalar",
                 "rational",
                 "--port-file",
@@ -743,7 +726,6 @@ mod tests {
                 workers: Some(4),
                 shards: Some(2),
                 queue_cap: Some(64),
-                coalesce: false,
                 scalar: "rational".into(),
                 port_file: Some("/tmp/p".into()),
             })

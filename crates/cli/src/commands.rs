@@ -144,27 +144,7 @@ pub fn simulate_cmd(p: &SimulateParams, stdin: &str) -> Result<String, String> {
     } else {
         SplitStrategy::PolicySplit
     };
-    let mut loop_stats = None;
-    let report = if p.incremental {
-        let solver = match p.policy.as_str() {
-            "amf" => AmfSolver::new(),
-            "amf-enhanced" => AmfSolver::enhanced(),
-            other => {
-                return Err(format!(
-                    "--incremental requires an AMF policy (got {other})"
-                ))
-            }
-        };
-        let policy = amf_sim::AmfIncremental::with_split(solver, split);
-        let config = SimConfig {
-            split,
-            ..SimConfig::default()
-        };
-        let (report, stats) =
-            amf_sim::simulate_incremental_with_stats(&trace, &policy, &config, &[]);
-        loop_stats = Some(stats);
-        report
-    } else if p.policy == "srpt-per-site" {
+    let report = if p.policy == "srpt-per-site" {
         if p.engine == "slots" {
             return Err("srpt-per-site only supports the fluid engine".into());
         }
@@ -183,11 +163,10 @@ pub fn simulate_cmd(p: &SimulateParams, stdin: &str) -> Result<String, String> {
     let jcts = report.jcts();
     let mut out = String::new();
     out.push_str(&format!(
-        "policy = {}{} (engine: {}{})\n",
+        "policy = {}{} (engine: {})\n",
         p.policy,
         if p.jct_addon { " + jct-addon" } else { "" },
         p.engine,
-        if p.incremental { ", incremental" } else { "" },
     ));
     out.push_str(&format!(
         "jobs finished = {}/{}\n",
@@ -207,12 +186,6 @@ pub fn simulate_cmd(p: &SimulateParams, stdin: &str) -> Result<String, String> {
         fmt4(report.mean_utilization)
     ));
     out.push_str(&format!("reallocations = {}\n", report.reallocations));
-    if let Some(stats) = loop_stats {
-        out.push_str(&format!(
-            "rounds replayed / re-solved = {} / {}\n",
-            stats.rounds_replayed, stats.rounds_resolved
-        ));
-    }
     Ok(out)
 }
 
@@ -379,7 +352,6 @@ fn serve_with<S: amf_serve::WireScalar>(
 pub fn serve_cmd(p: &crate::args::ServeParams) -> Result<String, String> {
     let mut cfg = amf_serve::ServeConfig {
         addr: p.addr.clone(),
-        coalesce: p.coalesce,
         ..amf_serve::ServeConfig::default()
     };
     if p.workers.is_some() {
@@ -569,7 +541,6 @@ mod tests {
                 policy: "per-site-max-min".into(),
                 jct_addon: false,
                 engine: "fluid".into(),
-                incremental: false,
             },
             &json,
         )
@@ -656,7 +627,6 @@ mod tests {
                 policy: "amf".into(),
                 jct_addon: false,
                 engine: "slots".into(),
-                incremental: false,
             },
             &json,
         )
@@ -667,7 +637,6 @@ mod tests {
                 policy: "srpt-per-site".into(),
                 jct_addon: false,
                 engine: "fluid".into(),
-                incremental: false,
             },
             &json,
         )
@@ -678,72 +647,10 @@ mod tests {
                 policy: "srpt-per-site".into(),
                 jct_addon: false,
                 engine: "slots".into(),
-                incremental: false,
             },
             &json,
         )
         .is_err());
-    }
-
-    #[test]
-    fn simulate_incremental_matches_from_scratch_and_reports_replays() {
-        let json = generate(&gen_params()).unwrap();
-        // BalancedProgress splits are a pure function of the (unique) fair
-        // aggregates, so both engines follow the same trajectory and every
-        // reported metric agrees.
-        let base = SimulateParams {
-            policy: "amf".into(),
-            jct_addon: true,
-            engine: "fluid".into(),
-            incremental: false,
-        };
-        let scratch = simulate_cmd(&base, &json).unwrap();
-        let incremental = simulate_cmd(
-            &SimulateParams {
-                incremental: true,
-                ..base.clone()
-            },
-            &json,
-        )
-        .unwrap();
-        assert!(
-            incremental.contains("engine: fluid, incremental"),
-            "{incremental}"
-        );
-        assert!(
-            incremental.contains("rounds replayed / re-solved ="),
-            "{incremental}"
-        );
-        let metric = |out: &str, key: &str| {
-            out.lines()
-                .find(|l| l.starts_with(key))
-                .map(str::to_string)
-                .unwrap_or_else(|| panic!("missing {key} in {out}"))
-        };
-        for key in [
-            "jobs finished",
-            "mean_jct",
-            "p95_jct",
-            "makespan",
-            "mean_utilization",
-            "reallocations",
-        ] {
-            assert_eq!(metric(&scratch, key), metric(&incremental, key));
-        }
-        // Non-AMF policies reject --incremental with a typed error.
-        let err = simulate_cmd(
-            &SimulateParams {
-                policy: "per-site-max-min".into(),
-                incremental: true,
-                ..base
-            },
-            &json,
-        )
-        .unwrap_err();
-        assert!(
-            err.contains("--incremental requires an AMF policy"),
-            "{err}"
-        );
     }
 
     #[test]

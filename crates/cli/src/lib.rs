@@ -77,8 +77,10 @@ mod tests {
     #[test]
     fn removed_solve_knobs_fail_before_solving() {
         // `--backend` and `--no-contraction` selected solver paths that no
-        // longer exist; a script still passing them gets an error naming
-        // the flag, not a silently different run.
+        // longer exist, `simulate --incremental` an event-loop session and
+        // `serve --no-coalesce` an eager apply mode that are gone too; a
+        // script still passing them gets an error naming the flag, not a
+        // silently different run (nor a server that starts listening).
         let trace = run(
             &sv(&["gen", "--jobs", "4", "--sites", "2", "--seed", "3"]),
             "",
@@ -88,14 +90,19 @@ mod tests {
             &["solve", "--backend", "dinic"][..],
             &["solve", "--backend", "push-relabel"],
             &["solve", "--no-contraction"],
+            &["simulate", "--incremental"],
+            &["simulate", "--jct-addon", "--incremental"],
+            &["serve", "--no-coalesce"],
         ] {
             let err = run(&sv(argv), &trace).unwrap_err();
+            let flag = argv.iter().rev().find(|a| a.starts_with("--")).unwrap();
             assert!(
-                err.starts_with(&format!("solve: unknown flag {}", argv[1])),
+                err.starts_with(&format!("{}: unknown flag {flag}", argv[0])),
                 "{argv:?} gave {err:?}"
             );
         }
         assert!(run(&sv(&["solve"]), &trace).is_ok());
+        assert!(run(&sv(&["simulate", "--jct-addon"]), &trace).is_ok());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Delta-driven incremental AMF sessions.
 //!
-//! The online experiments feed the solver a *stream* of instance changes:
-//! a job arrives, a job departs, a demand shrinks as work completes, a
-//! site's capacity moves. [`IncrementalAmf`] is the session such a stream
-//! drives. It is an edited instance in front of the one solver.
+//! A served tenant (`amf-serve`) edits one instance request by request: a
+//! job arrives, a job departs, a demand changes, a site's capacity moves.
+//! [`IncrementalAmf`] is that tenant's state, driven by the stream of
+//! typed [`Delta`]s. It is an edited instance in front of the one solver.
 //!
 //! The session holds the live jobs, keyed by stable [`JobId`], and the
 //! site capacities. [`apply`](IncrementalAmf::apply) validates one

@@ -17,11 +17,9 @@
 //!   with its own session map and bounded admission queue; a full queue
 //!   refuses with a typed `Overloaded` reply instead of blocking, so
 //!   backpressure is visible to clients rather than silent.
-//! * **Coalescing** — with [`ServeConfig::coalesce`] on, `ApplyDeltas`
-//!   stages deltas in a per-tenant [`DeltaBatch`]; the next `Solve` applies
-//!   the merged batch and solves once. Off, every `ApplyDeltas`
-//!   applies and re-solves immediately (the baseline the serve bench
-//!   compares against).
+//! * **Coalescing** — `ApplyDeltas` stages deltas in a per-tenant
+//!   [`DeltaBatch`]; the next `Solve` applies the merged batch and solves
+//!   once, so a burst of deltas costs one solve.
 //! * **Shutdown** — `Shutdown` flips a flag, wakes everything, and drains:
 //!   queued work completes and is answered, new work is refused with
 //!   `ShuttingDown`. With `workers = Some(0)` (a test mode: nothing drains
@@ -32,7 +30,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use amf_core::incremental::{Delta, DeltaError, IncrementalAmf, JobId};
@@ -61,8 +59,6 @@ pub struct ServeConfig {
     /// Admission-queue capacity per shard; a full queue refuses requests
     /// with a typed `Overloaded` error.
     pub queue_cap: usize,
-    /// Coalesce deltas staged between solves (see module docs).
-    pub coalesce: bool,
     /// Frame payload ceiling in bytes.
     pub max_frame: usize,
     /// Connection read timeout (poll interval for the shutdown flag).
@@ -76,7 +72,6 @@ impl Default for ServeConfig {
             workers: None,
             shards: 8,
             queue_cap: 256,
-            coalesce: true,
             max_frame: DEFAULT_MAX_FRAME,
             read_timeout: Duration::from_millis(50),
         }
@@ -125,7 +120,6 @@ const OP_NAMES: [&str; 6] = [
 
 struct Shared<S> {
     queue_cap: usize,
-    coalesce: bool,
     max_frame: usize,
     read_timeout: Duration,
     addr: SocketAddr,
@@ -162,7 +156,10 @@ impl<S: WireScalar> Shared<S> {
         }
         let (mut csr_rebuilds, mut bitset_words_cleared) = (0u64, 0u64);
         for t in tenants {
-            let t = t.lock().expect("tenant lock poisoned");
+            // A handler that panicked leaves its tenant's lock poisoned;
+            // the counters behind it are still plain numbers, so read
+            // through the poison rather than fail `Stats` for everyone.
+            let t = t.lock().unwrap_or_else(PoisonError::into_inner);
             let work = t.session.session_stats();
             csr_rebuilds = csr_rebuilds.saturating_add(work.csr_rebuilds);
             bitset_words_cleared = bitset_words_cleared.saturating_add(work.bitset_words_cleared);
@@ -391,20 +388,15 @@ fn handle_apply<S: WireScalar>(shared: &Shared<S>, tenant: &str, deltas: &[WireD
             Ok(d) => d,
             Err(resp) => return resp,
         };
-        let applied = if shared.coalesce {
-            let before = t.batch.coalesced();
-            let res = {
-                let Tenant { session, batch } = &mut *t;
-                batch.push(session, delta)
-            };
-            shared
-                .counters
-                .deltas_coalesced
-                .fetch_add(t.batch.coalesced() - before, Ordering::Relaxed);
-            res
-        } else {
-            t.session.apply(delta)
+        let before = t.batch.coalesced();
+        let applied = {
+            let Tenant { session, batch } = &mut *t;
+            batch.push(session, delta)
         };
+        shared
+            .counters
+            .deltas_coalesced
+            .fetch_add(t.batch.coalesced() - before, Ordering::Relaxed);
         if let Err(e) = applied {
             return delta_err(&e);
         }
@@ -413,11 +405,6 @@ fn handle_apply<S: WireScalar>(shared: &Shared<S>, tenant: &str, deltas: &[WireD
             .counters
             .deltas_applied
             .fetch_add(1, Ordering::Relaxed);
-    }
-    if !shared.coalesce && t.session.is_dirty() {
-        // No-coalescing baseline: every ApplyDeltas re-solves immediately.
-        t.session.solve();
-        shared.counters.solves.fetch_add(1, Ordering::Relaxed);
     }
     Response::Applied {
         accepted,
@@ -653,7 +640,6 @@ impl<S: WireScalar> Server<S> {
             .collect();
         let shared = Arc::new(Shared {
             queue_cap: cfg.queue_cap.max(1),
-            coalesce: cfg.coalesce,
             max_frame: cfg.max_frame,
             read_timeout: cfg.read_timeout,
             addr,
@@ -764,5 +750,56 @@ impl<S: WireScalar> Server<S> {
         // the barrier: with every producer joined, drain anything left.
         drain_inline(&self.shared);
         self.shared.build_stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ServeClient;
+
+    #[test]
+    fn stats_survive_a_poisoned_tenant_lock() {
+        let server = Server::<f64>::bind(ServeConfig {
+            workers: Some(1),
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let mut client = ServeClient::connect(server.addr()).expect("connect");
+        for tenant in ["healthy", "broken", "idle"] {
+            client
+                .create_session(tenant, &[4.0, 2.0], None)
+                .expect("create");
+        }
+        client
+            .apply_deltas(
+                "healthy",
+                &[WireDelta::AddJob {
+                    id: 0,
+                    demands: vec![1.0, 1.0],
+                    weight: None,
+                }],
+            )
+            .expect("apply");
+        client.solve("healthy").expect("solve");
+
+        // Poison one tenant the way a panicking handler would: panic while
+        // holding its lock.
+        let broken = lookup(&server.shared, "broken").unwrap_or_else(|_| panic!("no tenant"));
+        let holder = std::thread::spawn(move || {
+            let _guard = broken.lock().expect("not poisoned yet");
+            panic!("handler panicked mid-request");
+        });
+        assert!(holder.join().is_err());
+        let broken = lookup(&server.shared, "broken").unwrap_or_else(|_| panic!("no tenant"));
+        assert!(broken.is_poisoned());
+
+        let stats = client
+            .stats()
+            .expect("Stats answers past a poisoned tenant");
+        assert_eq!(stats.sessions, 3);
+        assert_eq!(stats.solves, 1);
+        client.shutdown().expect("shutdown");
+        assert_eq!(server.join().sessions, 3);
     }
 }

@@ -1,8 +1,8 @@
 //! End-to-end server tests: session lifecycle with audited responses,
 //! concurrent multi-tenant traffic checked bit-identical against serial
 //! from-scratch solves on [`Rational`], deterministic overload rejection
-//! on bounded queues, graceful drain, the coalescing-vs-eager solve
-//! count, and the ascending row order of `Solved` replies under churn.
+//! on bounded queues, graceful drain, one solve per coalesced burst, and
+//! the ascending row order of `Solved` replies under churn.
 
 use std::time::{Duration, Instant};
 
@@ -438,67 +438,63 @@ fn bounded_queue_rejects_with_overloaded_instead_of_blocking() {
 }
 
 #[test]
-fn coalescing_halves_solver_work_vs_eager_baseline() {
-    let solves_with = |coalesce: bool| -> (u64, u64, Vec<f64>) {
-        let cfg = ServeConfig {
-            workers: Some(1),
-            coalesce,
-            ..ServeConfig::default()
-        };
-        let server = Server::<f64>::bind(cfg).expect("bind");
-        let mut client = ServeClient::connect(server.addr()).expect("connect");
-        client
-            .create_session("t", &[8.0, 8.0], Some("plain"))
-            .expect("create");
+fn coalescing_folds_a_delta_burst_into_one_solve() {
+    let cfg = ServeConfig {
+        workers: Some(1),
+        ..ServeConfig::default()
+    };
+    let server = Server::<f64>::bind(cfg).expect("bind");
+    let mut client = ServeClient::connect(server.addr()).expect("connect");
+    client
+        .create_session("t", &[8.0, 8.0], Some("plain"))
+        .expect("create");
+    client
+        .apply_deltas(
+            "t",
+            &[
+                WireDelta::AddJob {
+                    id: 0,
+                    demands: vec![3.0, 1.0],
+                    weight: None,
+                },
+                WireDelta::AddJob {
+                    id: 1,
+                    demands: vec![1.0, 4.0],
+                    weight: None,
+                },
+            ],
+        )
+        .expect("seed jobs");
+    // A burst of single-delta requests touching the same entry, which the
+    // server folds into one staged write.
+    let mut last = 0.0;
+    for step in 0..8 {
+        last = 1.0 + f64::from(step) * 0.25;
         client
             .apply_deltas(
                 "t",
-                &[
-                    WireDelta::AddJob {
-                        id: 0,
-                        demands: vec![3.0, 1.0],
-                        weight: None,
-                    },
-                    WireDelta::AddJob {
-                        id: 1,
-                        demands: vec![1.0, 4.0],
-                        weight: None,
-                    },
-                ],
+                &[WireDelta::DemandChange {
+                    id: 0,
+                    site: 1,
+                    demand: last,
+                }],
             )
-            .expect("seed jobs");
-        // A burst of single-delta requests touching the same entry — the
-        // coalescing server folds them into one staged write.
-        for step in 0..8 {
-            client
-                .apply_deltas(
-                    "t",
-                    &[WireDelta::DemandChange {
-                        id: 0,
-                        site: 1,
-                        demand: 1.0 + f64::from(step) * 0.25,
-                    }],
-                )
-                .expect("burst delta");
-        }
-        let reply = client.solve("t").expect("solve");
-        client.shutdown().expect("shutdown");
-        let summary = server.join();
-        (summary.solves, summary.deltas_coalesced, reply.aggregates)
-    };
+            .expect("burst delta");
+    }
+    let reply = client.solve("t").expect("solve");
+    client.shutdown().expect("shutdown");
+    let summary = server.join();
 
-    let (eager_solves, eager_coalesced, eager_agg) = solves_with(false);
-    let (coalesced_solves, coalesced_count, coalesced_agg) = solves_with(true);
-
-    // Eager: every ApplyDeltas re-solves (9 applies) and the final Solve is
-    // a cache hit. Coalescing: exactly one solve for the whole burst.
-    assert_eq!(eager_solves, 9);
-    assert_eq!(eager_coalesced, 0);
-    assert_eq!(coalesced_solves, 1);
+    // One solve for the seed jobs and the whole burst.
+    assert!(reply.resolved);
+    assert_eq!(summary.solves, 1);
     // The seed AddJobs are staged too, so every burst write folds straight
     // into the staged add's demand row: all 8 are eliminated.
-    assert_eq!(coalesced_count, 8);
-    // Same final aggregates either way (splits are a flow decomposition
-    // and may legitimately differ between solve histories).
-    assert_eq!(eager_agg, coalesced_agg);
+    assert_eq!(summary.deltas_coalesced, 8);
+    // The answer is the solver's on the final instance, rows by job id.
+    let last_write = Instance::new(vec![8.0, 8.0], vec![vec![3.0, last], vec![1.0, 4.0]])
+        .expect("valid instance");
+    let oracle = AmfSolver::new().solve(&last_write).allocation;
+    assert_eq!(reply.job_ids, [0, 1]);
+    assert_eq!(reply.aggregates, oracle.aggregates());
 }

@@ -8,12 +8,9 @@
 //! starves large jobs, bracketing the fair policies from the other side
 //! than equal division does.
 
-use crate::split::{balanced_progress_split, SplitStrategy};
-use amf_core::{
-    Allocation, AllocationPolicy, AmfSolver, Delta, IncrementalAmf, Instance, SolveStats,
-};
+use crate::split::balanced_progress_split;
+use amf_core::{Allocation, AllocationPolicy, Delta, Instance, SolveStats};
 use amf_numeric::KahanSum;
-use std::collections::BTreeMap;
 
 /// The active set at a reallocation instant, as seen by an
 /// [`IncrementalSession`]. Rows (and `ids` entries) are in the order the
@@ -30,9 +27,18 @@ pub struct SessionCtx<'a> {
     pub remaining: &'a [Vec<f64>],
 }
 
-/// A live solver session fed typed [`Delta`]s by the event loop instead
-/// of fresh [`Instance`]s — created via
-/// [`DynamicPolicy::incremental_session`].
+/// A per-event-loop hook that answers every reallocation of
+/// [`simulate_incremental_with_stats`](crate::simulate_incremental_with_stats),
+/// created via [`DynamicPolicy::incremental_session`].
+///
+/// The library ships no implementation: the from-scratch event loop
+/// ([`simulate_with_capacity_events`](crate::simulate_with_capacity_events))
+/// is its one AMF path. The hook exists so a benchmark can wrap each
+/// decision (time it, record spans around its solve and split, sample it
+/// for an audit) without a copy of the engine. Alongside each
+/// [`SessionCtx`] the engine narrates the active-set changes as a typed
+/// [`Delta`] stream, which a session may apply to an
+/// [`IncrementalAmf`](amf_core::IncrementalAmf) or ignore.
 pub trait IncrementalSession {
     /// Feed one delta. The engine only emits internally consistent
     /// streams, so implementations may treat rejection as a bug.
@@ -55,11 +61,11 @@ pub trait DynamicPolicy: Send + Sync {
     /// `remaining[j][s]` is job `j`'s outstanding work at site `s`.
     fn allocate_dynamic(&self, inst: &Instance<f64>, remaining: &[Vec<f64>]) -> Allocation<f64>;
 
-    /// Open an incremental session over sites with the given capacities,
-    /// if this policy supports delta-driven re-solve. The default is
-    /// `None`: the engine falls back to [`allocate_dynamic`]
-    /// (from-scratch) — so work-aware policies like
-    /// [`SrptPerSite`] need no changes.
+    /// Open an [`IncrementalSession`] over sites with the given
+    /// capacities, for a caller that wants to wrap each decision of
+    /// [`simulate_incremental_with_stats`](crate::simulate_incremental_with_stats).
+    /// The default, which every policy in this crate keeps, is `None`: the
+    /// engine then calls [`allocate_dynamic`] at every event.
     ///
     /// [`allocate_dynamic`]: Self::allocate_dynamic
     fn incremental_session(&self, capacities: &[f64]) -> Option<Box<dyn IncrementalSession>> {
@@ -149,140 +155,6 @@ impl DynamicPolicy for AmfBalanced {
             self.repair_rounds,
         );
         Allocation::from_split(split)
-    }
-
-    fn incremental_session(&self, capacities: &[f64]) -> Option<Box<dyn IncrementalSession>> {
-        Some(Box::new(AmfSession {
-            session: IncrementalAmf::new(AmfSolver::new(), capacities.to_vec())
-                .expect("engine capacities are validated"),
-            split: SplitStrategy::BalancedProgress {
-                repair_rounds: self.repair_rounds,
-            },
-        }))
-    }
-}
-
-/// Delta-driven AMF: a [`DynamicPolicy`] whose
-/// [`incremental_session`](DynamicPolicy::incremental_session) wraps a
-/// persistent [`IncrementalAmf`] — the event loop feeds it deltas instead
-/// of rebuilding an instance per event (see
-/// [`simulate_incremental`](crate::simulate_incremental)). The
-/// from-scratch fallback ([`allocate_dynamic`](DynamicPolicy::allocate_dynamic))
-/// applies the identical split strategy, so both paths produce the same
-/// rate matrices.
-#[derive(Debug, Clone, Copy)]
-pub struct AmfIncremental {
-    solver: AmfSolver,
-    split: SplitStrategy,
-}
-
-impl AmfIncremental {
-    /// Incremental AMF with the solver's own split.
-    pub fn new(solver: AmfSolver) -> Self {
-        AmfIncremental {
-            solver,
-            split: SplitStrategy::PolicySplit,
-        }
-    }
-
-    /// Incremental AMF with an explicit [`SplitStrategy`] (use
-    /// `BalancedProgress` for the JCT add-on).
-    pub fn with_split(solver: AmfSolver, split: SplitStrategy) -> Self {
-        AmfIncremental { solver, split }
-    }
-
-    /// The wrapped solver configuration.
-    pub fn solver(&self) -> AmfSolver {
-        self.solver
-    }
-}
-
-impl DynamicPolicy for AmfIncremental {
-    fn name(&self) -> &'static str {
-        "amf-incremental"
-    }
-
-    fn allocate_dynamic(&self, inst: &Instance<f64>, remaining: &[Vec<f64>]) -> Allocation<f64> {
-        let alloc = self.solver.solve(inst).allocation;
-        match self.split {
-            SplitStrategy::PolicySplit => alloc,
-            SplitStrategy::BalancedProgress { repair_rounds } => {
-                Allocation::from_split(balanced_progress_split(
-                    inst.capacities(),
-                    inst.demands(),
-                    alloc.aggregates(),
-                    remaining,
-                    repair_rounds,
-                ))
-            }
-        }
-    }
-
-    fn incremental_session(&self, capacities: &[f64]) -> Option<Box<dyn IncrementalSession>> {
-        Some(Box::new(AmfSession {
-            session: IncrementalAmf::new(self.solver, capacities.to_vec())
-                .expect("engine capacities are validated"),
-            split: self.split,
-        }))
-    }
-}
-
-/// The [`IncrementalSession`] behind [`AmfIncremental`] and
-/// [`AmfBalanced`]: an [`IncrementalAmf`] plus the id↔row bookkeeping
-/// that maps the session's output rows back to the engine's active-set
-/// order.
-struct AmfSession {
-    session: IncrementalAmf<f64>,
-    split: SplitStrategy,
-}
-
-impl IncrementalSession for AmfSession {
-    fn apply(&mut self, delta: &Delta<f64>) {
-        self.session
-            .apply(delta.clone())
-            .expect("engine delta streams are consistent");
-    }
-
-    fn rates(&mut self, ctx: &SessionCtx<'_>) -> Vec<Vec<f64>> {
-        self.session.solve();
-        let out = self.session.last_output();
-        let dense: BTreeMap<u64, usize> = self
-            .session
-            .job_ids()
-            .iter()
-            .enumerate()
-            .map(|(row, id)| (id.0, row))
-            .collect();
-        debug_assert_eq!(
-            dense.len(),
-            ctx.ids.len(),
-            "session/engine active sets differ"
-        );
-        match self.split {
-            SplitStrategy::PolicySplit => ctx
-                .ids
-                .iter()
-                .map(|id| out.allocation.split()[dense[id]].clone())
-                .collect(),
-            SplitStrategy::BalancedProgress { repair_rounds } => {
-                let aggregates: Vec<f64> = ctx
-                    .ids
-                    .iter()
-                    .map(|id| out.allocation.aggregates()[dense[id]])
-                    .collect();
-                balanced_progress_split(
-                    ctx.capacities,
-                    ctx.demands,
-                    &aggregates,
-                    ctx.remaining,
-                    repair_rounds,
-                )
-            }
-        }
-    }
-
-    fn stats(&self) -> SolveStats {
-        self.session.session_stats()
     }
 }
 

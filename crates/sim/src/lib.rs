@@ -23,7 +23,10 @@
 //!   non-preemptive), the strongest realism check;
 //! * [`scheduler`] — the embeddable incremental API: *you* own the clock
 //!   and the job stream (submit / advance / events), for integrating AMF
-//!   into a real resource manager loop.
+//!   into a real resource manager loop;
+//! * [`simulate_incremental_with_stats`] — the same event loop with each
+//!   decision handed to a policy's [`IncrementalSession`], the hook a
+//!   benchmark uses to time and trace every reallocation.
 
 #![forbid(unsafe_code)]
 // `!(a < b)` is this workspace's idiom for "a >= b under the total order":
@@ -43,12 +46,10 @@ pub mod slots;
 pub mod split;
 pub mod tasks;
 
-pub use dynamic::{
-    AmfBalanced, AmfIncremental, DynamicPolicy, IncrementalSession, SessionCtx, SrptPerSite,
-};
+pub use dynamic::{AmfBalanced, DynamicPolicy, IncrementalSession, SessionCtx, SrptPerSite};
 pub use engine::{
-    simulate, simulate_dynamic, simulate_incremental, simulate_incremental_with_stats,
-    simulate_many, simulate_with_capacity_events, CapacityEvent, EventLoopStats, SimConfig,
+    simulate, simulate_dynamic, simulate_incremental_with_stats, simulate_many,
+    simulate_with_capacity_events, CapacityEvent, EventLoopStats, SimConfig,
 };
 pub use report::{JobOutcome, SimReport};
 pub use split::SplitStrategy;

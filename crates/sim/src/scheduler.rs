@@ -25,8 +25,8 @@
 //! step — the same fluid semantics as the offline engine, which the tests
 //! exploit to cross-check the two.
 
-use crate::dynamic::{DynamicPolicy, IncrementalSession, SessionCtx};
-use amf_core::{Delta, Instance, SolveStats};
+use crate::dynamic::DynamicPolicy;
+use amf_core::Instance;
 
 const WORK_EPS: f64 = 1e-7;
 const RATE_EPS: f64 = 1e-12;
@@ -81,12 +81,6 @@ pub enum SchedEvent {
 pub struct Scheduler {
     capacities: Vec<f64>,
     policy: Box<dyn DynamicPolicy>,
-    /// Delta-driven solver session, when the policy offers one (e.g.
-    /// [`AmfIncremental`](crate::AmfIncremental)); `None` falls back to
-    /// from-scratch `allocate_dynamic` at every reallocation.
-    session: Option<Box<dyn IncrementalSession>>,
-    /// Deltas accumulated since the session last saw the instance.
-    pending: Vec<Delta<f64>>,
     now: f64,
     jobs: Vec<SchedJob>,
     /// Indices of unfinished jobs.
@@ -108,12 +102,9 @@ impl Scheduler {
         for (s, &c) in capacities.iter().enumerate() {
             assert!(c >= 0.0 && c.is_finite(), "site {s}: invalid capacity");
         }
-        let session = policy.incremental_session(&capacities);
         Scheduler {
             capacities,
             policy,
-            session,
-            pending: Vec::new(),
             now: 0.0,
             jobs: Vec::new(),
             active: Vec::new(),
@@ -136,12 +127,6 @@ impl Scheduler {
     /// Total policy invocations so far.
     pub fn reallocations(&self) -> usize {
         self.reallocations
-    }
-
-    /// Cumulative solver statistics from the incremental session, if the
-    /// policy opened one (rounds and flow work across the run).
-    pub fn session_stats(&self) -> Option<SolveStats> {
-        self.session.as_ref().map(|s| s.stats())
     }
 
     /// Submit a job at the current time. Work at a site requires positive
@@ -181,13 +166,6 @@ impl Scheduler {
             job.completed_at = Some(self.now);
             self.jobs.push(job);
         } else {
-            if self.session.is_some() {
-                self.pending.push(Delta::AddJob {
-                    id: amf_core::JobId(id.0 as u64),
-                    demands: job.demand.clone(),
-                    weight: 1.0,
-                });
-            }
             self.jobs.push(job);
             self.active.push(id.0);
             self.dirty = true;
@@ -204,9 +182,6 @@ impl Scheduler {
         assert!(site < self.capacities.len(), "site out of range");
         assert!(capacity >= 0.0 && capacity.is_finite(), "invalid capacity");
         self.capacities[site] = capacity;
-        if self.session.is_some() {
-            self.pending.push(Delta::CapacityChange { site, capacity });
-        }
         self.dirty = true;
     }
 
@@ -230,12 +205,6 @@ impl Scheduler {
         if !self.dirty {
             return;
         }
-        // Keep the session synchronized even across empty periods.
-        if let Some(session) = self.session.as_mut() {
-            for delta in self.pending.drain(..) {
-                session.apply(&delta);
-            }
-        }
         if self.active.is_empty() {
             self.rates.clear();
             self.dirty = false;
@@ -251,25 +220,13 @@ impl Scheduler {
             .iter()
             .map(|&j| self.jobs[j].remaining.clone())
             .collect();
-        self.rates = match self.session.as_mut() {
-            Some(session) => {
-                let ids: Vec<u64> = self.active.iter().map(|&j| j as u64).collect();
-                session.rates(&SessionCtx {
-                    ids: &ids,
-                    capacities: &self.capacities,
-                    demands: &demands,
-                    remaining: &remaining,
-                })
-            }
-            None => {
-                let inst = Instance::new(self.capacities.clone(), demands)
-                    .expect("active jobs form a valid instance");
-                self.policy
-                    .allocate_dynamic(&inst, &remaining)
-                    .split()
-                    .to_vec()
-            }
-        };
+        let inst = Instance::new(self.capacities.clone(), demands)
+            .expect("active jobs form a valid instance");
+        self.rates = self
+            .policy
+            .allocate_dynamic(&inst, &remaining)
+            .split()
+            .to_vec();
         self.reallocations += 1;
         self.dirty = false;
     }
@@ -313,13 +270,6 @@ impl Scheduler {
                         if job.remaining[s] <= WORK_EPS {
                             job.remaining[s] = 0.0;
                             job.demand[s] = 0.0;
-                            if self.session.is_some() {
-                                self.pending.push(Delta::DemandChange {
-                                    id: amf_core::JobId(j as u64),
-                                    site: s,
-                                    demand: 0.0,
-                                });
-                            }
                             events.push(SchedEvent::PortionCompleted {
                                 job: JobId(j),
                                 site: s,
@@ -337,11 +287,6 @@ impl Scheduler {
                 let j = self.active[k];
                 if self.jobs[j].finished() {
                     self.jobs[j].completed_at = Some(at);
-                    if self.session.is_some() {
-                        self.pending.push(Delta::RemoveJob {
-                            id: amf_core::JobId(j as u64),
-                        });
-                    }
                     events.push(SchedEvent::JobCompleted { job: JobId(j), at });
                     self.active.swap_remove(k);
                     // Rates must stay aligned with `active`.
@@ -371,7 +316,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate, SimConfig};
+    use crate::{simulate, simulate_with_capacity_events, CapacityEvent, SimConfig};
     use amf_core::{AmfSolver, PerSiteMaxMin};
     use amf_workload::trace::{Trace, TraceJob};
 
@@ -490,33 +435,61 @@ mod tests {
     }
 
     #[test]
-    fn incremental_session_matches_from_scratch_scheduler() {
-        let drive = |policy: Box<dyn DynamicPolicy>| -> (Scheduler, Vec<JobId>) {
-            let mut sched = Scheduler::new(vec![6.0, 9.0], policy);
-            let mut ids = Vec::new();
-            ids.push(sched.submit(vec![12.0, 0.0], vec![6.0, 0.0]));
-            ids.push(sched.submit(vec![12.0, 9.0], vec![6.0, 9.0]));
-            sched.advance(1.0);
-            ids.push(sched.submit(vec![0.0, 18.0], vec![0.0, 9.0]));
-            sched.advance(1.5);
-            sched.set_capacity(1, 4.0);
-            sched.advance(3.0);
-            sched.set_capacity(1, 9.0);
-            sched.advance(50.0);
-            (sched, ids)
+    fn tracks_the_offline_engine_across_arrivals_and_capacity_events() {
+        // The same run twice: submissions and capacity changes driven by
+        // hand, and a trace with those arrival times and capacity events
+        // through the offline engine.
+        let mut sched = Scheduler::new(vec![6.0, 9.0], Box::new(AmfSolver::new()));
+        let mut ids = Vec::new();
+        ids.push(sched.submit(vec![12.0, 0.0], vec![6.0, 0.0]));
+        ids.push(sched.submit(vec![12.0, 9.0], vec![6.0, 9.0]));
+        sched.advance(1.0);
+        ids.push(sched.submit(vec![0.0, 18.0], vec![0.0, 9.0]));
+        sched.advance(1.5);
+        sched.set_capacity(1, 4.0);
+        sched.advance(3.0);
+        sched.set_capacity(1, 9.0);
+        sched.advance(50.0);
+
+        let job = |arrival: f64, work: Vec<f64>, demand: Vec<f64>| TraceJob {
+            arrival,
+            work,
+            demand,
         };
-        let (scratch, ids) = drive(Box::new(AmfSolver::new()));
-        let (incremental, _) = drive(Box::new(crate::AmfIncremental::new(AmfSolver::new())));
-        assert!(scratch.session_stats().is_none());
-        let stats = incremental
-            .session_stats()
-            .expect("AmfIncremental opens a session");
-        assert!(stats.rounds > 0);
-        for id in ids {
-            let a = scratch.job(id).completed_at.expect("finished");
-            let b = incremental.job(id).completed_at.expect("finished");
-            assert!((a - b).abs() < 1e-6, "job {id:?}: {a} vs {b}");
-            assert!((scratch.job(id).service - incremental.job(id).service).abs() < 1e-6);
+        let trace = Trace {
+            capacities: vec![6.0, 9.0],
+            jobs: vec![
+                job(0.0, vec![12.0, 0.0], vec![6.0, 0.0]),
+                job(0.0, vec![12.0, 9.0], vec![6.0, 9.0]),
+                job(1.0, vec![0.0, 18.0], vec![0.0, 9.0]),
+            ],
+        };
+        let events = [
+            CapacityEvent {
+                time: 2.5,
+                site: 1,
+                capacity: 4.0,
+            },
+            CapacityEvent {
+                time: 5.5,
+                site: 1,
+                capacity: 9.0,
+            },
+        ];
+        let offline = simulate_with_capacity_events(
+            &trace,
+            &AmfSolver::new(),
+            &SimConfig::default(),
+            &events,
+        );
+        assert!(offline.all_finished());
+        for (id, outcome) in ids.iter().zip(&offline.jobs) {
+            let online = sched.job(*id).completed_at.expect("finished");
+            let off = outcome.completion.expect("finished");
+            assert!(
+                (online - off).abs() < 1e-6,
+                "job {id:?}: online {online} vs offline {off}"
+            );
         }
     }
 }

@@ -236,11 +236,11 @@ fn lint() -> ExitCode {
 }
 
 /// Keys every `BENCH_solver.json` must contain (schema
-/// `amf-bench-solver/v4`); checked textually so xtask stays
+/// `amf-bench-solver/v5`); checked textually so xtask stays
 /// dependency-free.
 const BENCH_SOLVER_KEYS: &[&str] = &[
     "\"schema\"",
-    "\"amf-bench-solver/v4\"",
+    "\"amf-bench-solver/v5\"",
     "\"sweep\"",
     "\"contracted-dinic\"",
     "\"legacy_full_baseline_ms\"",
@@ -248,17 +248,16 @@ const BENCH_SOLVER_KEYS: &[&str] = &[
     "\"batch\"",
     "\"kernels\"",
     "\"event_loop\"",
-    "\"rounds_replayed\"",
     "\"ns_per_edge\"",
     "\"csr_rebuilds\"",
     "\"bitset_words_cleared\"",
 ];
 
 /// Keys every `BENCH_serve.json` must contain (schema
-/// `amf-bench-serve/v1`).
+/// `amf-bench-serve/v2`).
 const BENCH_SERVE_KEYS: &[&str] = &[
     "\"schema\"",
-    "\"amf-bench-serve/v1\"",
+    "\"amf-bench-serve/v2\"",
     "\"hardware\"",
     "\"closed_loop\"",
     "\"open_loop\"",
@@ -268,7 +267,6 @@ const BENCH_SERVE_KEYS: &[&str] = &[
     "\"p95_us\"",
     "\"p99_us\"",
     "\"solves_per_request\"",
-    "\"solve_reduction_factor\"",
     "\"audit_violations\": 0",
 ];
 
@@ -356,7 +354,7 @@ fn sweep_section(json: &str) -> &str {
 /// `edges_visited`) must match the baseline exactly in every mode — a
 /// mismatch means the solver is doing different *work*, not that the
 /// machine is slow. Wall-clock gating (headline `contracted_ms`, event-loop
-/// `from_scratch_ms` and `incremental_ms`) applies in full mode only;
+/// `from_scratch_ms`) applies in full mode only;
 /// smoke timings are single-rep noise.
 fn check_solver(fresh: &str, baseline: &str, smoke: bool, tolerance: f64) -> bool {
     let mut ok = true;
@@ -374,7 +372,7 @@ fn check_solver(fresh: &str, baseline: &str, smoke: bool, tolerance: f64) -> boo
     if smoke {
         return ok;
     }
-    for key in ["contracted_ms", "from_scratch_ms", "incremental_ms"] {
+    for key in ["contracted_ms", "from_scratch_ms"] {
         let (Some(got), Some(want)) = (extract_number(fresh, key), extract_number(baseline, key))
         else {
             eprintln!("xtask: bench --check: {key:?} missing from a solver report");
