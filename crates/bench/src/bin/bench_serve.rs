@@ -2,7 +2,7 @@
 //!
 //! Boots in-process servers on ephemeral ports and drives them over real
 //! TCP through the blocking [`ServeClient`], then writes a
-//! machine-readable report (schema `amf-bench-serve/v2`) with three arms:
+//! machine-readable report (schema `amf-bench-serve/v3`) with three arms:
 //!
 //! * `closed_loop` — one tenant, one connection, requests issued
 //!   back-to-back (next request after the previous reply): the intrinsic
@@ -15,8 +15,14 @@
 //!   `Solve`: staging merges each burst into that one solve, so the run
 //!   takes exactly one solve per `Solve` request.
 //!
-//! v2 drops the eager (uncoalesced) arm and its `solve_reduction_factor`,
-//! as the server no longer has an eager mode.
+//! A fourth section, `codec`, needs no server: it encodes one seeded
+//! 150-job x 12-site enhanced `Solved` reply, the size `serve-large-tenants`
+//! ships, and records its length, its FNV-1a hash and the median encode
+//! time. `cargo xtask bench --check` pins the length and hash, so a change
+//! to the wire bytes shows up as a failed check.
+//!
+//! v2 dropped the eager (uncoalesced) arm and its `solve_reduction_factor`,
+//! as the server no longer has an eager mode; v3 adds `codec`.
 //!
 //! Every arm audits a sampled fraction of `Solve` replies with
 //! `amf-audit` against a client-side mirror of the session (the thread
@@ -25,9 +31,12 @@
 //! (default 7), `--out PATH` (default `BENCH_serve.json`).
 
 use amf_audit::audit;
-use amf_core::{Allocation, FairnessMode, Instance};
+use amf_core::{Allocation, AmfSolver, FairnessMode, Instance};
 use amf_metrics::Histogram;
-use amf_serve::{ServeClient, ServeConfig, Server, SolveReply, WireDelta, WireStats};
+use amf_serve::{
+    decode_response, encode, Response, ServeClient, ServeConfig, Server, SolveReply, WireDelta,
+    WireStats,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -48,6 +57,7 @@ struct Report {
     closed_loop: ArmReport,
     open_loop: ArmReport,
     coalescing: CoalescingReport,
+    codec: CodecReport,
 }
 
 #[derive(Serialize)]
@@ -90,6 +100,22 @@ struct CoalesceArm {
     solves_per_request: f64,
     deltas_coalesced: u64,
     p95_us: f64,
+}
+
+#[derive(Serialize)]
+struct CodecReport {
+    name: &'static str,
+    jobs: usize,
+    sites: usize,
+    /// Split entries that are not zero.
+    nonzero_entries: usize,
+    reply_bytes: usize,
+    /// FNV-1a (64-bit) of the reply bytes, as hex text: a JSON number
+    /// would not hold all 64 bits.
+    reply_fnv: String,
+    encodes: usize,
+    /// Median time of one `encode` of the reply.
+    encode_us: f64,
 }
 
 /// Client-side mirror of one tenant's session, built purely from the
@@ -512,6 +538,90 @@ fn coalesce_arm(seed: u64, rounds: usize, burst: usize) -> CoalesceArm {
     }
 }
 
+/// FNV-1a (64-bit) of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Encode one seeded `Solved` reply of `serve-large-tenants` size
+/// `ENCODES` times. The demands are that workload's: Zipf-skewed rows
+/// over the sites, jittered by U(0.5, 1.5), with every capacity half its
+/// column's demand. The split is an enhanced AMF solve of them, so the
+/// reply's bytes also move if the solver's f64 output does.
+fn codec_arm(seed: u64) -> CodecReport {
+    const JOBS: usize = 150;
+    const SITES: usize = 12;
+    const ENCODES: usize = 201;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let demands: Vec<Vec<f64>> = (0..JOBS)
+        .map(|_| {
+            let scale: f64 = rng.gen_range(5.0..30.0);
+            let offset = rng.gen_range(0..3usize);
+            (0..SITES)
+                .map(|s| {
+                    let rank = ((s + SITES - offset) % SITES) as f64;
+                    scale / (rank + 1.0).powf(1.2) * rng.gen_range(0.5..1.5)
+                })
+                .collect()
+        })
+        .collect();
+    let caps = (0..SITES)
+        .map(|s| 0.5 * demands.iter().map(|row| row[s]).sum::<f64>())
+        .collect();
+    let inst = Instance::new(caps, demands).expect("seeded demands are valid");
+    let out = AmfSolver::enhanced().solve(&inst);
+    let reply = Response::Solved {
+        job_ids: (0..JOBS as u64).collect(),
+        aggregates: out.allocation.aggregates().to_vec(),
+        split: out.allocation.split().to_vec(),
+        resolved: true,
+    };
+    let bytes = encode(&reply);
+    assert_eq!(
+        decode_response(&bytes).expect("the reply decodes"),
+        reply,
+        "the codec reply does not survive a round trip"
+    );
+    let mut times_us: Vec<f64> = (0..ENCODES)
+        .map(|_| {
+            let t0 = Instant::now();
+            let again = encode(std::hint::black_box(&reply));
+            let us = t0.elapsed().as_secs_f64() * 1e6;
+            assert_eq!(again, bytes, "encoding is not deterministic");
+            us
+        })
+        .collect();
+    times_us.sort_by(|a, b| a.partial_cmp(b).expect("durations are not NaN"));
+    let report = CodecReport {
+        name: "solved-150x12-enhanced",
+        jobs: JOBS,
+        sites: SITES,
+        nonzero_entries: out
+            .allocation
+            .split()
+            .iter()
+            .flatten()
+            .filter(|x| **x != 0.0)
+            .count(),
+        reply_bytes: bytes.len(),
+        reply_fnv: format!("{:#018x}", fnv1a(&bytes)),
+        encodes: ENCODES,
+        encode_us: times_us[ENCODES / 2],
+    };
+    println!(
+        "codec/{}: {} bytes ({} of {} split entries nonzero), fnv {}; encode p50 {:.1}us",
+        report.name,
+        report.reply_bytes,
+        report.nonzero_entries,
+        JOBS * SITES,
+        report.reply_fnv,
+        report.encode_us,
+    );
+    report
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -539,6 +649,7 @@ fn main() {
         ol_rate,
     );
     let coalesced = coalesce_arm(seed.wrapping_add(2), rounds, burst);
+    let codec = codec_arm(seed.wrapping_add(3));
 
     let total_violations = closed.audit_violations + open.audit_violations;
     assert!(
@@ -554,7 +665,7 @@ fn main() {
     );
 
     let report = Report {
-        schema: "amf-bench-serve/v2",
+        schema: "amf-bench-serve/v3",
         smoke,
         seed,
         hardware: Hardware {
@@ -572,6 +683,7 @@ fn main() {
             burst,
             coalesced,
         },
+        codec,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, json + "\n").expect("write report");

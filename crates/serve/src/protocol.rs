@@ -128,11 +128,11 @@ pub enum Response {
         /// Number of sites in the session instance.
         sites: usize,
     },
-    /// Deltas accepted (staged or applied, depending on coalescing mode).
+    /// Deltas accepted and staged; the next `Solve` applies them.
     Applied {
         /// How many deltas of the request were accepted.
         accepted: usize,
-        /// Deltas currently staged for the tenant (0 when not coalescing).
+        /// Deltas currently staged for the tenant, after coalescing.
         pending: usize,
     },
     /// The allocation after applying pending deltas and solving.
@@ -235,9 +235,7 @@ impl std::error::Error for ProtocolError {}
 
 /// Serialize a message to its JSON payload bytes.
 pub fn encode<T: Serialize>(msg: &T) -> Vec<u8> {
-    serde_json::to_string(msg)
-        .expect("protocol values contain no non-finite numbers")
-        .into_bytes()
+    serde_json::to_vec(msg).expect("protocol values contain no non-finite numbers")
 }
 
 fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, ProtocolError> {
@@ -359,24 +357,6 @@ mod tests {
             let back = decode_response(&bytes).expect("round trip");
             assert_eq!(back, resp);
         }
-    }
-
-    /// `encode` serializes the message once; the bytes are what rendering
-    /// its value tree gives.
-    #[test]
-    fn encode_renders_the_value_tree() {
-        let reply = Response::Solved {
-            job_ids: vec![3, 5, 9],
-            aggregates: vec![1.0 / 3.0, 2.0 / 3.0, 0.1 + 0.2],
-            split: vec![
-                vec![1.0 / 3.0, 0.0],
-                vec![1e-12, 2.0 / 3.0],
-                vec![0.3, 1e21],
-            ],
-            resolved: true,
-        };
-        let tree = serde_json::to_string(&reply.to_value()).unwrap();
-        assert_eq!(encode(&reply), tree.into_bytes());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Frame + protocol codec properties: random requests survive an
-//! encode → frame → unframe → decode round trip byte-exactly, and
-//! malformed inputs of every flavour come back as *typed* errors — a
-//! hostile byte stream must never panic the decode path.
+//! encode → frame → unframe → decode round trip byte-exactly, `Solved`
+//! replies over arbitrary finite floats round-trip and print every number
+//! as `Display` does, and malformed inputs of every flavour come back as
+//! *typed* errors — a hostile byte stream must never panic the decode path.
 
 use amf_serve::{
     decode_request, decode_response, encode, read_frame, write_frame, FrameError, ProtocolError,
-    Request, WireDelta, DEFAULT_MAX_FRAME,
+    Request, Response, WireDelta, DEFAULT_MAX_FRAME,
 };
 use proptest::prelude::*;
 
@@ -14,6 +15,60 @@ use proptest::prelude::*;
 /// and exactly printable).
 fn wire_value() -> impl Strategy<Value = f64> {
     (0i64..1 << 20, 0u32..4).prop_map(|(n, shift)| n as f64 / f64::from(1u32 << shift))
+}
+
+/// Any finite f64, drawn as a uniform bit pattern: subnormals, huge
+/// magnitudes, negative zero and numbers with 17 significant digits, the
+/// values a solver's split actually holds.
+fn finite_f64() -> impl Strategy<Value = f64> {
+    (0u64..=u64::MAX)
+        .prop_map(f64::from_bits)
+        .prop_filter("finite", |x| x.is_finite())
+}
+
+/// `Solved` replies with arbitrary finite numbers; job ids stay below
+/// 2^53, the integers a JSON number carries exactly.
+fn solved_reply() -> impl Strategy<Value = Response> {
+    (0usize..6, 0usize..5).prop_flat_map(|(jobs, sites)| {
+        (
+            proptest::collection::vec(0u64..1 << 53, jobs),
+            proptest::collection::vec(finite_f64(), jobs),
+            proptest::collection::vec(proptest::collection::vec(finite_f64(), sites), jobs),
+            0u8..2,
+        )
+            .prop_map(|(job_ids, aggregates, split, resolved)| Response::Solved {
+                job_ids,
+                aggregates,
+                split,
+                resolved: resolved == 1,
+            })
+    })
+}
+
+/// The wire form of a `Solved` reply, rendered by hand with every number
+/// printed by `Display`: the encoder must produce exactly these bytes.
+fn render_solved(reply: &Response) -> String {
+    let Response::Solved {
+        job_ids,
+        aggregates,
+        split,
+        resolved,
+    } = reply
+    else {
+        panic!("render_solved takes a Solved reply");
+    };
+    let list = |xs: &[f64]| {
+        let items: Vec<String> = xs.iter().map(|x| format!("{x}")).collect();
+        format!("[{}]", items.join(","))
+    };
+    let ids: Vec<String> = job_ids.iter().map(|id| format!("{id}")).collect();
+    let rows: Vec<String> = split.iter().map(|row| list(row)).collect();
+    format!(
+        "{{\"Solved\":{{\"job_ids\":[{}],\"aggregates\":{},\"split\":[{}],\"resolved\":{resolved}}}}}",
+        ids.join(","),
+        list(aggregates),
+        rows.join(","),
+    )
 }
 
 fn wire_delta() -> impl Strategy<Value = WireDelta> {
@@ -96,6 +151,15 @@ proptest! {
             .expect("one frame present");
         let back = decode_request(&payload).expect("decodes");
         prop_assert_eq!(back, req);
+    }
+
+    /// `Solved` replies over arbitrary finite floats decode to themselves,
+    /// and their bytes are what printing each number with `Display` gives.
+    #[test]
+    fn solved_replies_round_trip_and_print_as_display(reply in solved_reply()) {
+        let bytes = encode(&reply);
+        prop_assert_eq!(String::from_utf8(bytes.clone()).expect("UTF-8"), render_solved(&reply));
+        prop_assert_eq!(decode_response(&bytes).expect("decodes"), reply);
     }
 
     /// Arbitrary bytes through the decoder: typed error or success, never

@@ -17,8 +17,9 @@
 //!   the workspace root. `--smoke` forwards the bins' quick mode for CI.
 //!   `--check` turns the run into a regression gate: reports are written
 //!   to `target/` instead, and compared against the committed baselines —
-//!   deterministic solver work counters must match exactly, and (full mode
-//!   only) wall-clock ratios must stay within the tolerance, default 1.25×,
+//!   deterministic solver work counters and the serve codec reply's length
+//!   and hash must match exactly, and (full mode only) wall-clock ratios
+//!   must stay within the tolerance, default 1.25×,
 //!   overridable with `--tolerance X` or the `AMF_BENCH_TOLERANCE` env var.
 //!   Both modes also run the benchmark's traced `online-skewed` pass (seed
 //!   1, see [`ONLINE_ARGS`]) and record its deterministic work counters in
@@ -254,14 +255,18 @@ const BENCH_SOLVER_KEYS: &[&str] = &[
 ];
 
 /// Keys every `BENCH_serve.json` must contain (schema
-/// `amf-bench-serve/v2`).
+/// `amf-bench-serve/v3`).
 const BENCH_SERVE_KEYS: &[&str] = &[
     "\"schema\"",
-    "\"amf-bench-serve/v2\"",
+    "\"amf-bench-serve/v3\"",
     "\"hardware\"",
     "\"closed_loop\"",
     "\"open_loop\"",
     "\"coalescing\"",
+    "\"codec\"",
+    "\"reply_bytes\"",
+    "\"reply_fnv\"",
+    "\"encode_us\"",
     "\"throughput_rps\"",
     "\"p50_us\"",
     "\"p95_us\"",
@@ -329,6 +334,17 @@ fn extract_all_numbers(json: &str, key: &str) -> Vec<f64> {
     out
 }
 
+/// The JSON token (number or string, quotes kept) following `"key":`.
+fn extract_token<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\":");
+    let rest = json[json.find(&needle)? + needle.len()..].trim_start();
+    let end = match rest.strip_prefix('"') {
+        Some(body) => body.find('"')? + 2,
+        None => rest.find([',', '}', '\n']).unwrap_or(rest.len()),
+    };
+    Some(rest[..end].trim_end())
+}
+
 /// Parse the number at the start of `rest` (after optional whitespace).
 fn extract_number_prefix(rest: &str) -> Option<f64> {
     let rest = rest.trim_start();
@@ -394,33 +410,57 @@ fn check_solver(fresh: &str, baseline: &str, smoke: bool, tolerance: f64) -> boo
     ok
 }
 
-/// Compare a fresh serve report against the committed baseline: sustained
-/// closed-loop throughput must stay within `tolerance` of the baseline.
-/// Serve counters depend on thread interleaving, so nothing is compared in
-/// smoke mode beyond the key validation every run gets.
+/// Compare a fresh serve report against the committed baseline.
+///
+/// The codec reply's `reply_bytes` and `reply_fnv` must equal the
+/// baseline's in every mode: they pin the encoder's wire bytes. In full
+/// mode only, sustained closed-loop throughput and the codec's median
+/// `encode_us` must stay within `tolerance` of the baseline. Other serve
+/// counters depend on thread interleaving and are not compared.
 fn check_serve(fresh: &str, baseline: &str, smoke: bool, tolerance: f64) -> bool {
+    let mut ok = true;
+    for key in ["reply_bytes", "reply_fnv"] {
+        match (extract_token(fresh, key), extract_token(baseline, key)) {
+            (Some(got), Some(want)) if got == want => {
+                println!("==> bench --check: codec {key} {got} matches the baseline");
+            }
+            (got, want) => {
+                eprintln!(
+                    "xtask: bench --check: codec {key} diverged from baseline (baseline \
+                     {want:?}, fresh {got:?}): the encoder's wire bytes changed, or the \
+                     solver's f64 output did"
+                );
+                ok = false;
+            }
+        }
+    }
     if smoke {
-        return true;
+        return ok;
     }
-    let (Some(got), Some(want)) = (
-        extract_number(fresh, "throughput_rps"),
-        extract_number(baseline, "throughput_rps"),
-    ) else {
-        eprintln!("xtask: bench --check: throughput_rps missing from a serve report");
-        return false;
-    };
-    let ratio = want / got;
-    // NaN falls into the failure branch by construction.
-    if ratio <= tolerance {
-        println!("==> bench --check: throughput {got:.1} rps vs baseline {want:.1} rps");
-        true
-    } else {
-        eprintln!(
-            "xtask: bench --check: throughput_rps regressed {ratio:.3}x below baseline \
-             ({got:.1} rps vs {want:.1} rps, tolerance {tolerance}x)"
-        );
-        false
+    for (key, lower_is_better) in [("throughput_rps", false), ("encode_us", true)] {
+        let (Some(got), Some(want)) = (extract_number(fresh, key), extract_number(baseline, key))
+        else {
+            eprintln!("xtask: bench --check: {key} missing from a serve report");
+            ok = false;
+            continue;
+        };
+        let ratio = if lower_is_better {
+            got / want
+        } else {
+            want / got
+        };
+        // NaN falls into the failure branch by construction.
+        if ratio <= tolerance {
+            println!("==> bench --check: {key} {got:.1} vs baseline {want:.1} ({ratio:.3}x)");
+        } else {
+            eprintln!(
+                "xtask: bench --check: {key} regressed {ratio:.3}x against baseline \
+                 ({got:.1} vs {want:.1}, tolerance {tolerance}x)"
+            );
+            ok = false;
+        }
     }
+    ok
 }
 
 /// The traced `online-skewed` pass whose work counters `bench` pins: the
