@@ -20,7 +20,7 @@ USAGE:
                  # pool.json: {\"capacities\": [9, 18],
                  #             \"jobs\": [{\"demand\": [1, 4],
                  #                       \"max_tasks\": null, \"weight\": 1.0}]}
-    amf serve    [--addr H:P] [--workers N] [--shards K] [--queue-cap Q]
+    amf serve    [--addr H:P] [--shards K] [--queue-cap Q]
                  [--scalar f64|rational] [--port-file PATH]
                  # multi-tenant allocation server; blocks until a client
                  # sends Shutdown, then prints the drain summary
@@ -98,11 +98,9 @@ pub struct AuditParams {
 pub struct ServeParams {
     /// Bind address (default `127.0.0.1:0` — ephemeral port).
     pub addr: String,
-    /// Worker threads (None = available parallelism).
-    pub workers: Option<usize>,
     /// Session-table shards (None = server default).
     pub shards: Option<usize>,
-    /// Admission-queue capacity per shard (None = server default).
+    /// Requests in flight per shard (None = server default).
     pub queue_cap: Option<usize>,
     /// Session scalar: "f64" (default) or "rational".
     pub scalar: String,
@@ -345,7 +343,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             check_args(
                 "serve",
                 rest,
-                "--addr --workers --shards --queue-cap --scalar --port-file",
+                "--addr --shards --queue-cap --scalar --port-file",
                 "",
                 0,
             )?;
@@ -357,10 +355,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             }
             Ok(Command::Serve(ServeParams {
                 addr: value_of(rest, "--addr")?.unwrap_or_else(|| "127.0.0.1:0".into()),
-                workers: match value_of(rest, "--workers")? {
-                    Some(v) => Some(parse_num(&v, "--workers")?),
-                    None => None,
-                },
                 shards: match value_of(rest, "--shards")? {
                     Some(v) => Some(parse_num(&v, "--shards")?),
                     None => None,
@@ -657,7 +651,7 @@ mod tests {
             "check",
             "audit --policy amf-enhanced --mode enhanced --json",
             "drf",
-            "serve --addr 127.0.0.1:0 --workers 2 --shards 2 --queue-cap 8 \
+            "serve --addr 127.0.0.1:0 --shards 2 --queue-cap 8 \
              --scalar rational --port-file /tmp/p",
             "client --addr a:1 create --tenant ci --capacities 6,4 --mode plain",
             "client --addr a:1 add-job --tenant ci --id 1 --demands 2,3 --weight 2",
@@ -674,13 +668,14 @@ mod tests {
 
     #[test]
     fn usage_names_no_removed_flag() {
-        // Flags of deleted solver and engine paths; each is now rejected
-        // as unknown, so the help text must not offer it.
+        // Flags of deleted solver, engine and server paths; each is now
+        // rejected as unknown, so the help text must not offer it.
         for flag in [
             "--incremental",
             "--no-coalesce",
             "--backend",
             "--no-contraction",
+            "--workers",
         ] {
             assert!(!USAGE.contains(flag), "USAGE still lists {flag}");
         }
@@ -697,7 +692,6 @@ mod tests {
             parse(&sv(&["serve"])).unwrap(),
             Command::Serve(ServeParams {
                 addr: "127.0.0.1:0".into(),
-                workers: None,
                 shards: None,
                 queue_cap: None,
                 scalar: "f64".into(),
@@ -709,8 +703,6 @@ mod tests {
                 "serve",
                 "--addr",
                 "0.0.0.0:7070",
-                "--workers",
-                "4",
                 "--shards",
                 "2",
                 "--queue-cap",
@@ -723,7 +715,6 @@ mod tests {
             .unwrap(),
             Command::Serve(ServeParams {
                 addr: "0.0.0.0:7070".into(),
-                workers: Some(4),
                 shards: Some(2),
                 queue_cap: Some(64),
                 scalar: "rational".into(),
@@ -731,7 +722,7 @@ mod tests {
             })
         );
         assert!(parse(&sv(&["serve", "--scalar", "decimal"])).is_err());
-        assert!(parse(&sv(&["serve", "--workers", "many"])).is_err());
+        assert!(parse(&sv(&["serve", "--queue-cap", "many"])).is_err());
     }
 
     #[test]

@@ -338,6 +338,10 @@ fn serve_with<S: amf_serve::WireScalar>(
         "refused: overloaded = {}, protocol errors = {}\n",
         summary.overloaded, summary.protocol_errors
     ));
+    out.push_str(&format!(
+        "panics = {}, quarantined sessions = {}\n",
+        summary.panics, summary.quarantined
+    ));
     for op in &summary.ops {
         out.push_str(&format!(
             "{}: count = {}, mean = {:.0}us, p50/p95/p99 = {:.0}/{:.0}/{:.0}us\n",
@@ -354,9 +358,6 @@ pub fn serve_cmd(p: &crate::args::ServeParams) -> Result<String, String> {
         addr: p.addr.clone(),
         ..amf_serve::ServeConfig::default()
     };
-    if p.workers.is_some() {
-        cfg.workers = p.workers;
-    }
     if let Some(shards) = p.shards {
         cfg.shards = shards;
     }
@@ -441,7 +442,7 @@ pub fn client_cmd(p: &crate::args::ClientParams) -> Result<String, String> {
             let stats = client.stats().map_err(fail)?;
             let mut out = String::new();
             out.push_str(&format!(
-                "sessions = {}, queued = {}, requests = {}, solves = {}\n",
+                "sessions = {}, in flight = {}, requests = {}, solves = {}\n",
                 stats.sessions, stats.queued, stats.requests, stats.solves
             ));
             out.push_str(&format!(
@@ -450,6 +451,10 @@ pub fn client_cmd(p: &crate::args::ClientParams) -> Result<String, String> {
                 stats.deltas_coalesced,
                 stats.overloaded,
                 stats.protocol_errors
+            ));
+            out.push_str(&format!(
+                "panics = {}, quarantined sessions = {}\n",
+                stats.panics, stats.quarantined
             ));
             for op in &stats.ops {
                 out.push_str(&format!(

@@ -77,10 +77,11 @@ mod tests {
     #[test]
     fn removed_solve_knobs_fail_before_solving() {
         // `--backend` and `--no-contraction` selected solver paths that no
-        // longer exist, `simulate --incremental` an event-loop session and
-        // `serve --no-coalesce` an eager apply mode that are gone too; a
-        // script still passing them gets an error naming the flag, not a
-        // silently different run (nor a server that starts listening).
+        // longer exist, `simulate --incremental` an event-loop session,
+        // `serve --no-coalesce` an eager apply mode and `serve --workers` a
+        // worker pool that are gone too; a script still passing them gets
+        // an error naming the flag, not a silently different run (nor a
+        // server that starts listening).
         let trace = run(
             &sv(&["gen", "--jobs", "4", "--sites", "2", "--seed", "3"]),
             "",
@@ -93,6 +94,7 @@ mod tests {
             &["simulate", "--incremental"],
             &["simulate", "--jct-addon", "--incremental"],
             &["serve", "--no-coalesce"],
+            &["serve", "--workers", "2"],
         ] {
             let err = run(&sv(argv), &trace).unwrap_err();
             let flag = argv.iter().rev().find(|a| a.starts_with("--")).unwrap();
@@ -118,7 +120,7 @@ mod tests {
         let pf = port_file.to_string_lossy().to_string();
         let server = std::thread::spawn({
             let pf = pf.clone();
-            move || run(&sv(&["serve", "--workers", "1", "--port-file", &pf]), "")
+            move || run(&sv(&["serve", "--port-file", &pf]), "")
         });
         // Wait for the server to publish its ephemeral address.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);

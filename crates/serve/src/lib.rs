@@ -16,9 +16,9 @@
 //! * **coalescing** ([`coalesce`]) — deltas staged between solves merge
 //!   (last-writer-wins, add/remove cancellation) so one solve absorbs an
 //!   entire burst;
-//! * **server** ([`server`]) — sharded session table, bounded admission
-//!   queues with typed `Overloaded` rejection, a worker pool sized from
-//!   [`std::thread::available_parallelism`], graceful drain-on-shutdown,
+//! * **server** ([`server`]) — sharded session table, requests answered
+//!   on their connection's thread under a per-shard in-flight cap (typed
+//!   `Overloaded` rejection), panic containment, graceful drain-on-shutdown,
 //!   and per-operation latency histograms from `amf-metrics`;
 //! * **client** ([`client`]) — a blocking [`ServeClient`] used by the CLI
 //!   subcommands and the load generator.

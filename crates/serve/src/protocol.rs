@@ -45,7 +45,7 @@ pub enum Request {
     },
     /// Server-wide counters and latency summaries.
     Stats,
-    /// Begin graceful drain: queued work completes, new work is refused.
+    /// Begin graceful drain: requests in flight are answered, later ones refused.
     Shutdown,
 }
 
@@ -101,7 +101,7 @@ pub enum WireDelta {
 /// Coarse error classification for [`Response::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ErrorKind {
-    /// The admission queue for the tenant's shard is full; retry later.
+    /// The tenant's shard has its cap of requests in flight; retry later.
     Overloaded,
     /// The server is draining; no new work is admitted.
     ShuttingDown,
@@ -116,6 +116,9 @@ pub enum ErrorKind {
     /// The request was well-formed but semantically invalid
     /// (e.g. unrepresentable scalar value, bad fairness mode).
     BadRequest,
+    /// The server failed on this request: its handler panicked (code
+    /// `internal_panic`) or an earlier panic quarantined the tenant (`quarantined`).
+    Internal,
 }
 
 /// A server-to-client message.
@@ -186,7 +189,7 @@ pub struct OpStats {
 pub struct WireStats {
     /// Live sessions across all shards.
     pub sessions: usize,
-    /// Work items currently sitting in admission queues.
+    /// Requests admitted and not yet answered, across all shards.
     pub queued: usize,
     /// Total requests handled (all operations, including failed ones).
     pub requests: u64,
@@ -196,14 +199,18 @@ pub struct WireStats {
     pub deltas_applied: u64,
     /// Deltas eliminated by coalescing before reaching the solver.
     pub deltas_coalesced: u64,
-    /// Requests refused because an admission queue was full.
+    /// Requests refused because their shard was at its in-flight cap.
     pub overloaded: u64,
     /// Frames that failed to decode into a request.
     pub protocol_errors: u64,
-    /// CSR adjacency rebuilds across all live sessions' solver scratch
+    /// Handler panics, each answered with an `Internal` error.
+    pub panics: u64,
+    /// Sessions quarantined because a panic poisoned their lock.
+    pub quarantined: usize,
+    /// CSR adjacency rebuilds across all sessions' solver scratch
     /// (cumulative; a structural change per solve is the expected rate).
     pub csr_rebuilds: u64,
-    /// Bitset words zeroed by frontier resets across all live sessions
+    /// Bitset words zeroed by frontier resets across all sessions
     /// (cumulative; tracks traversal setup cost, not graph size).
     pub bitset_words_cleared: u64,
     /// Per-operation latency summaries.
@@ -333,6 +340,8 @@ mod tests {
                     deltas_coalesced: 2,
                     overloaded: 1,
                     protocol_errors: 0,
+                    panics: 1,
+                    quarantined: 1,
                     csr_rebuilds: 5,
                     bitset_words_cleared: 640,
                     ops: vec![OpStats {

@@ -3,34 +3,37 @@
 //! Architecture (all std, no async runtime):
 //!
 //! ```text
-//! listener thread ──accept──▶ connection threads (frame decode, Stats/
-//!      │                        Shutdown inline, everything else enqueued)
-//!      │                                │ bounded per-shard queues
-//!      ▼                                ▼
-//!  shutdown wake            worker pool (N = available_parallelism)
-//!                                       │ lock tenant session, apply/solve
-//!                                       ▼
-//!                            mpsc reply ──▶ connection thread ──▶ client
+//! listener ──accept──▶ one thread per connection:
+//!                      read ─▶ decode ─▶ admit ─▶ handle ─▶ encode ─▶ write
+//!                                          │        │
+//!        shard lock: drain flag, in-flight ┘        └ tenant lock: apply/solve;
+//!        cap, tenant lookup                           a panic is a typed reply
 //! ```
 //!
 //! * **Sharding** — tenants hash (FNV-1a) onto a fixed set of shards, each
-//!   with its own session map and bounded admission queue; a full queue
-//!   refuses with a typed `Overloaded` reply instead of blocking, so
-//!   backpressure is visible to clients rather than silent.
+//!   with its own session map and count of requests in flight; a shard at
+//!   its cap refuses with a typed `Overloaded` reply instead of blocking,
+//!   so backpressure is visible to clients rather than silent. A request
+//!   waits only for its own tenant's lock, so one tenant's slow solve does
+//!   not hold back another tenant.
 //! * **Coalescing** — `ApplyDeltas` stages deltas in a per-tenant
 //!   [`DeltaBatch`]; the next `Solve` applies the merged batch and solves
 //!   once, so a burst of deltas costs one solve.
-//! * **Shutdown** — `Shutdown` flips a flag, wakes everything, and drains:
-//!   queued work completes and is answered, new work is refused with
-//!   `ShuttingDown`. With `workers = Some(0)` (a test mode: nothing drains
-//!   the queues, so overload behaviour is deterministic) the drain runs
-//!   inline on the thread that received the `Shutdown`.
+//! * **Containment** — a handler that panics is answered with a typed
+//!   `Internal` reply and the connection keeps serving. A tenant whose
+//!   lock the panic poisoned is quarantined: its later requests are
+//!   refused with `Internal` too.
+//! * **Shutdown** — `Shutdown` sets a flag, then passes through every
+//!   shard lock, so no request is admitted after it. Each connection
+//!   finishes and answers the request it holds; later requests are
+//!   refused with `ShuttingDown`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use amf_core::incremental::{Delta, DeltaError, IncrementalAmf, JobId};
@@ -49,15 +52,10 @@ use crate::WireScalar;
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (see [`Server::addr`]).
     pub addr: String,
-    /// Worker threads. `None` sizes from
-    /// [`std::thread::available_parallelism`]; `Some(0)` runs *no* workers
-    /// — queued work only drains at shutdown (deterministic-overload test
-    /// mode).
-    pub workers: Option<usize>,
-    /// Session-table shards (each with its own admission queue).
+    /// Session-table shards (each with its own in-flight cap).
     pub shards: usize,
-    /// Admission-queue capacity per shard; a full queue refuses requests
-    /// with a typed `Overloaded` error.
+    /// Requests in flight per shard; one more is refused with a typed
+    /// `Overloaded` error.
     pub queue_cap: usize,
     /// Frame payload ceiling in bytes.
     pub max_frame: usize,
@@ -69,7 +67,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: None,
             shards: 8,
             queue_cap: 256,
             max_frame: DEFAULT_MAX_FRAME,
@@ -88,17 +85,15 @@ struct Tenant<S> {
     batch: DeltaBatch<S>,
 }
 
-/// A queued unit of work plus the channel its reply goes back on.
-struct Work {
-    op: Request,
-    reply: mpsc::Sender<Response>,
-}
+type TenantHandle<S> = Arc<Mutex<Tenant<S>>>;
 
 struct ShardState<S> {
-    sessions: BTreeMap<String, Arc<Mutex<Tenant<S>>>>,
-    queue: VecDeque<Work>,
+    sessions: BTreeMap<String, TenantHandle<S>>,
+    /// Admitted requests whose reply is not built yet.
+    in_flight: usize,
 }
 
+#[derive(Default)]
 struct Counters {
     requests: AtomicU64,
     solves: AtomicU64,
@@ -106,9 +101,13 @@ struct Counters {
     deltas_coalesced: AtomicU64,
     overloaded: AtomicU64,
     protocol_errors: AtomicU64,
+    panics: AtomicU64,
+    // Summed over every session's solves, so `Stats` takes no tenant lock.
+    csr_rebuilds: AtomicU64,
+    bitset_words_cleared: AtomicU64,
 }
 
-/// Latency-histogram names, one per queueable/inline operation.
+/// Latency-histogram names, one per operation.
 const OP_NAMES: [&str; 6] = [
     "create_session",
     "apply_deltas",
@@ -124,17 +123,21 @@ struct Shared<S> {
     read_timeout: Duration,
     addr: SocketAddr,
     shards: Vec<Mutex<ShardState<S>>>,
-    /// Exact count of queued-but-unclaimed work items across all shards.
-    pending: Mutex<usize>,
-    work_cv: Condvar,
     shutdown: AtomicBool,
     counters: Counters,
     /// Per-operation latency histograms (microseconds, log-spaced buckets).
     latency: Mutex<Vec<Histogram>>,
     conns: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Fault injection: a `Solve` for this tenant panics holding its lock.
+    #[cfg(test)]
+    panic_on_solve: std::sync::OnceLock<String>,
 }
 
 impl<S: WireScalar> Shared<S> {
+    fn shard(&self, tenant: &str) -> &Mutex<ShardState<S>> {
+        &self.shards[shard_of(tenant, self.shards.len())]
+    }
+
     fn record_latency(&self, op: &str, micros: f64) {
         if let Some(idx) = OP_NAMES.iter().position(|n| *n == op) {
             let mut book = self.latency.lock().expect("latency lock poisoned");
@@ -143,26 +146,12 @@ impl<S: WireScalar> Shared<S> {
     }
 
     fn build_stats(&self) -> WireStats {
-        let (mut sessions, mut queued) = (0, 0);
-        // Clone the tenant handles out of each shard before touching them:
-        // tenant locks are only ever taken with no shard lock held, and the
-        // stats path must respect that ordering too.
-        let mut tenants = Vec::new();
+        let (mut sessions, mut queued, mut quarantined) = (0, 0, 0);
         for sh in &self.shards {
             let st = sh.lock().expect("shard lock poisoned");
             sessions += st.sessions.len();
-            queued += st.queue.len();
-            tenants.extend(st.sessions.values().cloned());
-        }
-        let (mut csr_rebuilds, mut bitset_words_cleared) = (0u64, 0u64);
-        for t in tenants {
-            // A handler that panicked leaves its tenant's lock poisoned;
-            // the counters behind it are still plain numbers, so read
-            // through the poison rather than fail `Stats` for everyone.
-            let t = t.lock().unwrap_or_else(PoisonError::into_inner);
-            let work = t.session.session_stats();
-            csr_rebuilds = csr_rebuilds.saturating_add(work.csr_rebuilds);
-            bitset_words_cleared = bitset_words_cleared.saturating_add(work.bitset_words_cleared);
+            queued += st.in_flight;
+            quarantined += st.sessions.values().filter(|t| t.is_poisoned()).count();
         }
         let book = self.latency.lock().expect("latency lock poisoned");
         let ops = OP_NAMES
@@ -178,17 +167,20 @@ impl<S: WireScalar> Shared<S> {
                 p99_us: h.percentile(99.0),
             })
             .collect();
+        let c = &self.counters;
         WireStats {
             sessions,
             queued,
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            solves: self.counters.solves.load(Ordering::Relaxed),
-            deltas_applied: self.counters.deltas_applied.load(Ordering::Relaxed),
-            deltas_coalesced: self.counters.deltas_coalesced.load(Ordering::Relaxed),
-            overloaded: self.counters.overloaded.load(Ordering::Relaxed),
-            protocol_errors: self.counters.protocol_errors.load(Ordering::Relaxed),
-            csr_rebuilds,
-            bitset_words_cleared,
+            requests: c.requests.load(Ordering::Relaxed),
+            solves: c.solves.load(Ordering::Relaxed),
+            deltas_applied: c.deltas_applied.load(Ordering::Relaxed),
+            deltas_coalesced: c.deltas_coalesced.load(Ordering::Relaxed),
+            overloaded: c.overloaded.load(Ordering::Relaxed),
+            protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
+            panics: c.panics.load(Ordering::Relaxed),
+            quarantined,
+            csr_rebuilds: c.csr_rebuilds.load(Ordering::Relaxed),
+            bitset_words_cleared: c.bitset_words_cleared.load(Ordering::Relaxed),
             ops,
         }
     }
@@ -216,17 +208,15 @@ fn delta_err(e: &DeltaError) -> Response {
     err(ErrorKind::Delta, e.kind(), e.to_string())
 }
 
-/// Convert one wire delta into the session's scalar, exactly.
+/// Convert one wire value into the session's scalar, exactly.
+fn from_wire<S: WireScalar>(v: f64, what: &str) -> Result<S, Response> {
+    S::from_wire(v).ok_or_else(|| {
+        let msg = format!("{what} {v} is not representable in the session scalar");
+        err(ErrorKind::BadRequest, "unrepresentable_value", msg)
+    })
+}
+
 fn to_delta<S: WireScalar>(w: &WireDelta) -> Result<Delta<S>, Response> {
-    let conv = |v: f64, what: &str| {
-        S::from_wire(v).ok_or_else(|| {
-            err(
-                ErrorKind::BadRequest,
-                "unrepresentable_value",
-                format!("{what} {v} is not representable in the session scalar"),
-            )
-        })
-    };
     Ok(match w {
         WireDelta::AddJob {
             id,
@@ -236,22 +226,19 @@ fn to_delta<S: WireScalar>(w: &WireDelta) -> Result<Delta<S>, Response> {
             id: JobId(*id),
             demands: demands
                 .iter()
-                .map(|d| conv(*d, "demand"))
-                .collect::<Result<Vec<S>, Response>>()?,
-            weight: match weight {
-                Some(w) => conv(*w, "weight")?,
-                None => S::ONE,
-            },
+                .map(|d| from_wire(*d, "demand"))
+                .collect::<Result<_, _>>()?,
+            weight: weight.map_or(Ok(S::ONE), |w| from_wire(w, "weight"))?,
         },
         WireDelta::RemoveJob { id } => Delta::RemoveJob { id: JobId(*id) },
         WireDelta::DemandChange { id, site, demand } => Delta::DemandChange {
             id: JobId(*id),
             site: *site,
-            demand: conv(*demand, "demand")?,
+            demand: from_wire(*demand, "demand")?,
         },
         WireDelta::CapacityChange { site, capacity } => Delta::CapacityChange {
             site: *site,
-            capacity: conv(*capacity, "capacity")?,
+            capacity: from_wire(*capacity, "capacity")?,
         },
     })
 }
@@ -276,173 +263,32 @@ fn solved_response<S: WireScalar>(session: &IncrementalAmf<S>, resolved: bool) -
     }
 }
 
-/// Execute one queued operation against the session table.
-fn process<S: WireScalar>(shared: &Shared<S>, work: Work) {
-    let resp = match &work.op {
-        Request::CreateSession {
-            tenant,
-            capacities,
-            mode,
-        } => handle_create(shared, tenant, capacities, mode.as_deref()),
-        Request::ApplyDeltas { tenant, deltas } => handle_apply(shared, tenant, deltas),
-        Request::Solve { tenant } => handle_solve(shared, tenant),
-        Request::GetAllocation { tenant } => match lookup(shared, tenant) {
-            Err(resp) => resp,
-            Ok(t) => {
-                let t = t.lock().expect("tenant lock poisoned");
-                solved_response(&t.session, false)
-            }
-        },
-        // Stats/Shutdown are handled inline on connection threads.
-        other => err(
-            ErrorKind::Protocol,
-            "not_queueable",
-            format!("{} cannot be queued", other.op_name()),
-        ),
-    };
-    // A dead receiver just means the client hung up before the reply.
-    let _ = work.reply.send(resp);
+/// A request admitted to its tenant's shard, with the tenant's session if
+/// one exists. It counts toward the shard's in-flight cap until dropped.
+struct Admitted<'a, S> {
+    shard: &'a Mutex<ShardState<S>>,
+    tenant: Option<TenantHandle<S>>,
 }
 
-fn lookup<S: WireScalar>(
-    shared: &Shared<S>,
+impl<S> Drop for Admitted<'_, S> {
+    fn drop(&mut self) {
+        let mut st = self.shard.lock().unwrap_or_else(PoisonError::into_inner);
+        st.in_flight -= 1;
+    }
+}
+
+/// Admit a request for `tenant` and look the tenant up, in one section
+/// under its shard lock; refuses while draining or when the shard already
+/// has `queue_cap` requests in flight.
+fn admit<'a, S: WireScalar>(
+    shared: &'a Shared<S>,
     tenant: &str,
-) -> Result<Arc<Mutex<Tenant<S>>>, Response> {
-    let shard = &shared.shards[shard_of(tenant, shared.shards.len())];
-    let st = shard.lock().expect("shard lock poisoned");
-    st.sessions.get(tenant).cloned().ok_or_else(|| {
-        err(
-            ErrorKind::UnknownTenant,
-            "unknown_tenant",
-            format!("no session for tenant {tenant:?}"),
-        )
-    })
-}
-
-fn handle_create<S: WireScalar>(
-    shared: &Shared<S>,
-    tenant: &str,
-    capacities: &[f64],
-    mode: Option<&str>,
-) -> Response {
-    let solver = match mode {
-        None | Some("enhanced") => AmfSolver::enhanced(),
-        Some("plain") => AmfSolver::new(),
-        Some(other) => {
-            return err(
-                ErrorKind::BadRequest,
-                "bad_mode",
-                format!("unknown fairness mode {other:?} (expected \"plain\" or \"enhanced\")"),
-            )
-        }
-    };
-    let mut caps = Vec::with_capacity(capacities.len());
-    for c in capacities {
-        match S::from_wire(*c) {
-            Some(v) => caps.push(v),
-            None => {
-                return err(
-                    ErrorKind::BadRequest,
-                    "unrepresentable_value",
-                    format!("capacity {c} is not representable in the session scalar"),
-                )
-            }
-        }
-    }
-    let sites = caps.len();
-    let session = match IncrementalAmf::new(solver, caps) {
-        Ok(s) => s,
-        Err(e) => return delta_err(&e),
-    };
-    let shard = &shared.shards[shard_of(tenant, shared.shards.len())];
-    let mut st = shard.lock().expect("shard lock poisoned");
-    if st.sessions.contains_key(tenant) {
-        return err(
-            ErrorKind::DuplicateTenant,
-            "duplicate_tenant",
-            format!("tenant {tenant:?} already has a session"),
-        );
-    }
-    st.sessions.insert(
-        tenant.to_string(),
-        Arc::new(Mutex::new(Tenant {
-            session,
-            batch: DeltaBatch::new(),
-        })),
-    );
-    Response::Created {
-        tenant: tenant.to_string(),
-        sites,
-    }
-}
-
-fn handle_apply<S: WireScalar>(shared: &Shared<S>, tenant: &str, deltas: &[WireDelta]) -> Response {
-    let t = match lookup(shared, tenant) {
-        Ok(t) => t,
-        Err(resp) => return resp,
-    };
-    let mut t = t.lock().expect("tenant lock poisoned");
-    let mut accepted = 0usize;
-    for w in deltas {
-        let delta = match to_delta::<S>(w) {
-            Ok(d) => d,
-            Err(resp) => return resp,
-        };
-        let before = t.batch.coalesced();
-        let applied = {
-            let Tenant { session, batch } = &mut *t;
-            batch.push(session, delta)
-        };
-        shared
-            .counters
-            .deltas_coalesced
-            .fetch_add(t.batch.coalesced() - before, Ordering::Relaxed);
-        if let Err(e) = applied {
-            return delta_err(&e);
-        }
-        accepted += 1;
-        shared
-            .counters
-            .deltas_applied
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    Response::Applied {
-        accepted,
-        pending: t.batch.len(),
-    }
-}
-
-fn handle_solve<S: WireScalar>(shared: &Shared<S>, tenant: &str) -> Response {
-    let t = match lookup(shared, tenant) {
-        Ok(t) => t,
-        Err(resp) => return resp,
-    };
-    let mut t = t.lock().expect("tenant lock poisoned");
-    let staged = {
-        let Tenant { batch, .. } = &mut *t;
-        batch.take()
-    };
-    if let Err(e) = t.session.apply_all(staged) {
-        // Unreachable if batch validation mirrors the session exactly;
-        // surfaced as a typed error rather than trusted silently.
-        return delta_err(&e);
-    }
-    let resolved = t.session.is_dirty();
-    if resolved {
-        t.session.solve();
-        shared.counters.solves.fetch_add(1, Ordering::Relaxed);
-    }
-    solved_response(&t.session, resolved)
-}
-
-/// Queue `work` for the tenant's shard; refuses (with a typed reply) when
-/// draining or when the shard's admission queue is full.
-fn enqueue<S: WireScalar>(shared: &Shared<S>, tenant: &str, work: Work) -> Result<(), Response> {
-    let shard = &shared.shards[shard_of(tenant, shared.shards.len())];
+) -> Result<Admitted<'a, S>, Response> {
+    let shard = shared.shard(tenant);
     let mut st = shard.lock().expect("shard lock poisoned");
     // Checked under the shard lock: `begin_shutdown` sets the flag and then
-    // passes through every shard lock, so after that barrier no new work
-    // can slip in behind the drain.
+    // passes through every shard lock, so after that barrier no request
+    // is admitted.
     if shared.shutdown.load(Ordering::Acquire) {
         return Err(err(
             ErrorKind::ShuttingDown,
@@ -450,94 +296,170 @@ fn enqueue<S: WireScalar>(shared: &Shared<S>, tenant: &str, work: Work) -> Resul
             "server is draining",
         ));
     }
-    if st.queue.len() >= shared.queue_cap {
+    if st.in_flight >= shared.queue_cap {
         shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-        return Err(err(
-            ErrorKind::Overloaded,
-            "overloaded",
-            format!("admission queue full ({} queued)", st.queue.len()),
-        ));
+        let msg = format!("shard at capacity ({} requests in flight)", st.in_flight);
+        return Err(err(ErrorKind::Overloaded, "overloaded", msg));
     }
-    st.queue.push_back(work);
-    *shared.pending.lock().expect("pending lock poisoned") += 1;
-    shared.work_cv.notify_one();
-    Ok(())
+    st.in_flight += 1;
+    Ok(Admitted {
+        shard,
+        tenant: st.sessions.get(tenant).cloned(),
+    })
 }
 
-/// Claim one queued item, blocking until work arrives or shutdown completes
-/// the drain. `None` means: queues empty *and* draining — exit.
-fn next_work<S: WireScalar>(shared: &Shared<S>) -> Option<Work> {
-    {
-        let mut pending = shared.pending.lock().expect("pending lock poisoned");
-        loop {
-            if *pending > 0 {
-                *pending -= 1;
-                break;
-            }
-            if shared.shutdown.load(Ordering::Acquire) {
-                return None;
-            }
-            pending = shared.work_cv.wait(pending).expect("pending lock poisoned");
+/// Lock an admitted request's tenant; an unknown or quarantined tenant is
+/// a typed refusal.
+fn lock_tenant<'t, S>(
+    name: &str,
+    found: Option<&'t TenantHandle<S>>,
+) -> Result<MutexGuard<'t, Tenant<S>>, Response> {
+    let Some(handle) = found else {
+        let msg = format!("no session for tenant {name:?}");
+        return Err(err(ErrorKind::UnknownTenant, "unknown_tenant", msg));
+    };
+    handle.lock().map_err(|_| {
+        let msg = format!("tenant {name:?} is quarantined: a request panicked holding its session");
+        err(ErrorKind::Internal, "quarantined", msg)
+    })
+}
+
+/// Run an admitted request's handler; the request stops counting as in
+/// flight when its reply is built. A panic is contained to this request
+/// (and the tenant whose lock it held) and answered with a typed
+/// `Internal` reply.
+fn handle<S: WireScalar>(shared: &Shared<S>, req: &Request, ticket: Admitted<'_, S>) -> Response {
+    let found = ticket.tenant.as_ref();
+    let run = || match req {
+        Request::CreateSession {
+            tenant,
+            capacities,
+            mode,
+        } => handle_create(shared, tenant, capacities, mode.as_deref()),
+        Request::ApplyDeltas { tenant, deltas } => {
+            handle_apply(shared, &mut *lock_tenant(tenant, found)?, deltas)
         }
-    }
-    // The decrement above reserved exactly one queued item; find it.
-    loop {
-        for shard in &shared.shards {
-            let mut st = shard.lock().expect("shard lock poisoned");
-            if let Some(w) = st.queue.pop_front() {
-                return Some(w);
+        Request::Solve { tenant } => {
+            let mut t = lock_tenant(tenant, found)?;
+            #[cfg(test)]
+            if shared.panic_on_solve.get() == Some(tenant) {
+                panic!("injected fault: Solve for {tenant:?}");
             }
+            handle_solve(shared, &mut t)
         }
-        std::thread::yield_now();
+        Request::GetAllocation { tenant } => {
+            Ok(solved_response(&lock_tenant(tenant, found)?.session, false))
+        }
+        Request::Stats | Request::Shutdown => {
+            unreachable!("Stats and Shutdown are answered without admission")
+        }
+    };
+    match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(Ok(resp) | Err(resp)) => resp,
+        Err(_) => {
+            shared.counters.panics.fetch_add(1, Ordering::Relaxed);
+            let msg = format!("the {} handler panicked", req.op_name());
+            err(ErrorKind::Internal, "internal_panic", msg)
+        }
     }
 }
 
-/// Drain every queued item inline (used when `workers = Some(0)`).
-fn drain_inline<S: WireScalar>(shared: &Shared<S>) {
-    loop {
-        {
-            let mut pending = shared.pending.lock().expect("pending lock poisoned");
-            if *pending == 0 {
-                return;
-            }
-            *pending -= 1;
+fn handle_create<S: WireScalar>(
+    shared: &Shared<S>,
+    tenant: &str,
+    capacities: &[f64],
+    mode: Option<&str>,
+) -> Result<Response, Response> {
+    let solver = match mode {
+        None | Some("enhanced") => AmfSolver::enhanced(),
+        Some("plain") => AmfSolver::new(),
+        Some(other) => {
+            let msg =
+                format!("unknown fairness mode {other:?} (expected \"plain\" or \"enhanced\")");
+            return Err(err(ErrorKind::BadRequest, "bad_mode", msg));
         }
-        let mut claimed = None;
-        while claimed.is_none() {
-            for shard in &shared.shards {
-                let mut st = shard.lock().expect("shard lock poisoned");
-                if let Some(w) = st.queue.pop_front() {
-                    claimed = Some(w);
-                    break;
-                }
-            }
-        }
-        if let Some(w) = claimed {
-            process(shared, w);
-        }
+    };
+    let caps = capacities
+        .iter()
+        .map(|c| from_wire(*c, "capacity"))
+        .collect::<Result<Vec<S>, _>>()?;
+    let sites = caps.len();
+    let session = IncrementalAmf::new(solver, caps).map_err(|e| delta_err(&e))?;
+    let mut st = shared.shard(tenant).lock().expect("shard lock poisoned");
+    if st.sessions.contains_key(tenant) {
+        let msg = format!("tenant {tenant:?} already has a session");
+        return Err(err(ErrorKind::DuplicateTenant, "duplicate_tenant", msg));
     }
+    let batch = DeltaBatch::new();
+    let handle = Arc::new(Mutex::new(Tenant { session, batch }));
+    st.sessions.insert(tenant.to_string(), handle);
+    Ok(Response::Created {
+        tenant: tenant.to_string(),
+        sites,
+    })
 }
 
-fn begin_shutdown<S: WireScalar>(shared: &Shared<S>, had_workers: bool) {
+fn handle_apply<S: WireScalar>(
+    shared: &Shared<S>,
+    t: &mut Tenant<S>,
+    deltas: &[WireDelta],
+) -> Result<Response, Response> {
+    let c = &shared.counters;
+    let mut accepted = 0usize;
+    for w in deltas {
+        let delta = to_delta::<S>(w)?;
+        let before = t.batch.coalesced();
+        let applied = t.batch.push(&t.session, delta);
+        let folded = t.batch.coalesced() - before;
+        c.deltas_coalesced.fetch_add(folded, Ordering::Relaxed);
+        applied.map_err(|e| delta_err(&e))?;
+        accepted += 1;
+        c.deltas_applied.fetch_add(1, Ordering::Relaxed);
+    }
+    Ok(Response::Applied {
+        accepted,
+        pending: t.batch.len(),
+    })
+}
+
+fn handle_solve<S: WireScalar>(
+    shared: &Shared<S>,
+    t: &mut Tenant<S>,
+) -> Result<Response, Response> {
+    // Unreachable if batch validation mirrors the session exactly;
+    // surfaced as a typed error rather than trusted silently.
+    t.session
+        .apply_all(t.batch.take())
+        .map_err(|e| delta_err(&e))?;
+    let resolved = t.session.is_dirty();
+    if resolved {
+        let work = t.session.solve().stats;
+        let c = &shared.counters;
+        let (csr, words) = (work.csr_rebuilds, work.bitset_words_cleared);
+        c.solves.fetch_add(1, Ordering::Relaxed);
+        c.csr_rebuilds.fetch_add(csr, Ordering::Relaxed);
+        c.bitset_words_cleared.fetch_add(words, Ordering::Relaxed);
+    }
+    Ok(solved_response(&t.session, resolved))
+}
+
+fn begin_shutdown<S: WireScalar>(shared: &Shared<S>) {
     if shared.shutdown.swap(true, Ordering::AcqRel) {
         return; // already draining
     }
-    // Barrier: pass through every shard lock so in-flight enqueues that
-    // passed the flag check have landed before we drain (see `enqueue`).
+    // Barrier: pass through every shard lock, so a request that passed the
+    // flag check is already counted in flight and none is admitted later
+    // (see `admit`).
     for shard in &shared.shards {
         drop(shard.lock().expect("shard lock poisoned"));
-    }
-    shared.work_cv.notify_all();
-    if !had_workers {
-        drain_inline(shared);
     }
     // Unblock the accept loop with a throwaway connection.
     let _ = TcpStream::connect(shared.addr);
 }
 
-/// Per-connection loop: decode frames, answer Stats/Shutdown inline, queue
-/// everything else and relay the worker's reply.
-fn serve_conn<S: WireScalar>(shared: &Arc<Shared<S>>, mut stream: TcpStream, had_workers: bool) {
+/// Per-connection loop: decode frames, answer Stats/Shutdown directly,
+/// and admit and handle everything else on this thread.
+fn serve_conn<S: WireScalar>(shared: &Arc<Shared<S>>, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_nodelay(true);
@@ -579,35 +501,23 @@ fn serve_conn<S: WireScalar>(shared: &Arc<Shared<S>>, mut stream: TcpStream, had
                 continue;
             }
         };
-        let op = req.op_name();
         let resp = match &req {
             Request::Stats => Response::Stats {
                 stats: shared.build_stats(),
             },
             Request::Shutdown => {
-                begin_shutdown(shared, had_workers);
+                begin_shutdown(shared);
                 Response::ShuttingDown
             }
             Request::CreateSession { tenant, .. }
             | Request::ApplyDeltas { tenant, .. }
             | Request::Solve { tenant }
-            | Request::GetAllocation { tenant } => {
-                let tenant = tenant.clone();
-                let (tx, rx) = mpsc::channel();
-                match enqueue(shared, &tenant, Work { op: req, reply: tx }) {
-                    Err(refusal) => refusal,
-                    Ok(()) => match rx.recv() {
-                        Ok(resp) => resp,
-                        Err(_) => err(
-                            ErrorKind::BadRequest,
-                            "internal",
-                            "worker dropped the request",
-                        ),
-                    },
-                }
-            }
+            | Request::GetAllocation { tenant } => match admit(shared, tenant) {
+                Ok(ticket) => handle(shared, &req, ticket),
+                Err(refusal) => refusal,
+            },
         };
-        shared.record_latency(op, started.elapsed().as_secs_f64() * 1e6);
+        shared.record_latency(req.op_name(), started.elapsed().as_secs_f64() * 1e6);
         if write_frame(&mut stream, &encode(&resp)).is_err() {
             return;
         }
@@ -620,7 +530,6 @@ fn serve_conn<S: WireScalar>(shared: &Arc<Shared<S>>, mut stream: TcpStream, had
 pub struct Server<S: WireScalar> {
     shared: Arc<Shared<S>>,
     listener: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl<S: WireScalar> Server<S> {
@@ -628,13 +537,6 @@ impl<S: WireScalar> Server<S> {
     pub fn bind(cfg: ServeConfig) -> io::Result<Server<S>> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let n_workers = cfg.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2)
-                .min(16)
-        });
-        let n_shards = cfg.shards.max(1);
         let latency = (0..OP_NAMES.len())
             .map(|_| Histogram::exponential(1.0, 1e7, 56))
             .collect();
@@ -643,42 +545,21 @@ impl<S: WireScalar> Server<S> {
             max_frame: cfg.max_frame,
             read_timeout: cfg.read_timeout,
             addr,
-            shards: (0..n_shards)
+            shards: (0..cfg.shards.max(1))
                 .map(|_| {
                     Mutex::new(ShardState {
                         sessions: BTreeMap::new(),
-                        queue: VecDeque::new(),
+                        in_flight: 0,
                     })
                 })
                 .collect(),
-            pending: Mutex::new(0),
-            work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            counters: Counters {
-                requests: AtomicU64::new(0),
-                solves: AtomicU64::new(0),
-                deltas_applied: AtomicU64::new(0),
-                deltas_coalesced: AtomicU64::new(0),
-                overloaded: AtomicU64::new(0),
-                protocol_errors: AtomicU64::new(0),
-            },
+            counters: Counters::default(),
             latency: Mutex::new(latency),
             conns: Mutex::new(Vec::new()),
+            #[cfg(test)]
+            panic_on_solve: std::sync::OnceLock::new(),
         });
-        let workers: Vec<_> = (0..n_workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("amf-serve-worker-{i}"))
-                    .spawn(move || {
-                        while let Some(work) = next_work(&shared) {
-                            process(&shared, work);
-                        }
-                    })
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        let had_workers = n_workers > 0;
         let listener_handle = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -695,7 +576,7 @@ impl<S: WireScalar> Server<S> {
                         let conn_shared = Arc::clone(&shared);
                         let handle = std::thread::Builder::new()
                             .name("amf-serve-conn".to_string())
-                            .spawn(move || serve_conn(&conn_shared, stream, had_workers))
+                            .spawn(move || serve_conn(&conn_shared, stream))
                             .expect("spawn connection thread");
                         shared
                             .conns
@@ -709,7 +590,6 @@ impl<S: WireScalar> Server<S> {
         Ok(Server {
             shared,
             listener: Some(listener_handle),
-            workers,
         })
     }
 
@@ -720,7 +600,7 @@ impl<S: WireScalar> Server<S> {
 
     /// Begin graceful drain programmatically (same as a `Shutdown` frame).
     pub fn shutdown(&self) {
-        begin_shutdown(&self.shared, !self.workers.is_empty());
+        begin_shutdown(&self.shared);
     }
 
     /// Wait for the drain to finish and return the final counters. Call
@@ -730,10 +610,8 @@ impl<S: WireScalar> Server<S> {
         if let Some(listener) = self.listener.take() {
             let _ = listener.join();
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        // Connection threads exit within one read-timeout of the drain.
+        // Connection threads answer the request they hold, then exit
+        // within one read-timeout of the drain.
         loop {
             let handles: Vec<_> = {
                 let mut conns = self.shared.conns.lock().expect("conns lock poisoned");
@@ -746,9 +624,6 @@ impl<S: WireScalar> Server<S> {
                 let _ = h.join();
             }
         }
-        // Safety net for a straggler that passed the shutdown check before
-        // the barrier: with every producer joined, drain anything left.
-        drain_inline(&self.shared);
         self.shared.build_stats()
     }
 }
@@ -756,50 +631,162 @@ impl<S: WireScalar> Server<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::ServeClient;
+    use crate::client::{ClientError, ServeClient, SolveReply};
+
+    const PANICKED: (ErrorKind, &str) = (ErrorKind::Internal, "internal_panic");
+    const QUARANTINED: (ErrorKind, &str) = (ErrorKind::Internal, "quarantined");
+
+    /// Tenant `name`'s session handle, for tests that hold its lock.
+    fn lookup(server: &Server<f64>, name: &str) -> TenantHandle<f64> {
+        let st = server.shared.shard(name).lock().expect("shard lock");
+        Arc::clone(&st.sessions[name])
+    }
+
+    fn assert_refused<T: std::fmt::Debug>(got: Result<T, ClientError>, want: (ErrorKind, &str)) {
+        match got {
+            Err(ClientError::Server { kind, code, .. }) => assert_eq!((kind, code.as_str()), want),
+            other => panic!("expected {want:?}, got {other:?}"),
+        }
+    }
+
+    /// Solve `tenant` on a new connection in the background.
+    fn solve_later(server: &Server<f64>, tenant: &'static str) -> Pending {
+        let addr = server.addr();
+        std::thread::spawn(move || ServeClient::connect(addr)?.solve(tenant))
+    }
+
+    type Pending = std::thread::JoinHandle<Result<SolveReply, ClientError>>;
+
+    /// Poll `Stats` until `n` requests are in flight.
+    fn wait_in_flight(client: &mut ServeClient, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let stats = client.stats().expect("stats");
+            if stats.queued == n {
+                return;
+            }
+            assert!(Instant::now() < deadline, "never {n} in flight: {stats:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
 
     #[test]
     fn stats_survive_a_poisoned_tenant_lock() {
-        let server = Server::<f64>::bind(ServeConfig {
-            workers: Some(1),
-            ..ServeConfig::default()
-        })
-        .expect("bind");
+        let server = Server::<f64>::bind(ServeConfig::default()).expect("bind");
         let mut client = ServeClient::connect(server.addr()).expect("connect");
         for tenant in ["healthy", "broken", "idle"] {
             client
                 .create_session(tenant, &[4.0, 2.0], None)
                 .expect("create");
         }
-        client
-            .apply_deltas(
-                "healthy",
-                &[WireDelta::AddJob {
-                    id: 0,
-                    demands: vec![1.0, 1.0],
-                    weight: None,
-                }],
-            )
-            .expect("apply");
+        let job = [WireDelta::AddJob {
+            id: 0,
+            demands: vec![1.0, 1.0],
+            weight: None,
+        }];
+        client.apply_deltas("healthy", &job).expect("apply");
         client.solve("healthy").expect("solve");
 
         // Poison one tenant the way a panicking handler would: panic while
         // holding its lock.
-        let broken = lookup(&server.shared, "broken").unwrap_or_else(|_| panic!("no tenant"));
+        let broken = lookup(&server, "broken");
         let holder = std::thread::spawn(move || {
             let _guard = broken.lock().expect("not poisoned yet");
             panic!("handler panicked mid-request");
         });
         assert!(holder.join().is_err());
-        let broken = lookup(&server.shared, "broken").unwrap_or_else(|_| panic!("no tenant"));
-        assert!(broken.is_poisoned());
+        assert!(lookup(&server, "broken").is_poisoned());
 
         let stats = client
             .stats()
             .expect("Stats answers past a poisoned tenant");
         assert_eq!(stats.sessions, 3);
         assert_eq!(stats.solves, 1);
+        assert_eq!(stats.quarantined, 1);
+        assert_refused(client.solve("broken"), QUARANTINED);
+        assert_refused(client.apply_deltas("broken", &job), QUARANTINED);
+        assert_refused(client.get_allocation("broken"), QUARANTINED);
         client.shutdown().expect("shutdown");
         assert_eq!(server.join().sessions, 3);
+    }
+
+    #[test]
+    fn a_panicking_handler_is_answered_and_its_tenant_quarantined() {
+        let server = Server::<f64>::bind(ServeConfig::default()).expect("bind");
+        let hook = &server.shared.panic_on_solve;
+        hook.set("boom".into()).expect("hook unset");
+        let mut client = ServeClient::connect(server.addr()).expect("connect");
+        for tenant in ["boom", "calm"] {
+            client.create_session(tenant, &[2.0], None).expect("create");
+        }
+        assert_refused(client.solve("boom"), PANICKED);
+        // The same connection goes on serving other tenants.
+        assert!(client.solve("calm").expect("calm solves").resolved);
+        assert_refused(client.solve("boom"), QUARANTINED);
+        let stats = client.stats().expect("stats");
+        assert_eq!((stats.panics, stats.quarantined), (1, 1));
+        client.shutdown().expect("shutdown");
+        server.join();
+    }
+
+    #[test]
+    fn in_flight_cap_rejects_with_overloaded_instead_of_blocking() {
+        let server = Server::<f64>::bind(ServeConfig {
+            shards: 1,
+            queue_cap: 2,
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let mut probe = ServeClient::connect(server.addr()).expect("connect probe");
+        probe.create_session("x", &[1.0], None).expect("create");
+
+        // Holding x's lock keeps both fillers admitted and waiting, so the
+        // shard sits at its cap and the next request must bounce.
+        let x = lookup(&server, "x");
+        let held = x.lock().expect("not poisoned");
+        let fillers = [solve_later(&server, "x"), solve_later(&server, "x")];
+        wait_in_flight(&mut probe, 2);
+        assert_refused(probe.solve("x"), (ErrorKind::Overloaded, "overloaded"));
+
+        // The drain answers the fillers once x's lock is free; requests
+        // after it are refused as ShuttingDown, not Overloaded.
+        probe.shutdown().expect("shutdown ack");
+        drop(held);
+        for filler in fillers {
+            filler
+                .join()
+                .expect("filler")
+                .expect("in-flight filler solved");
+        }
+        match probe.solve("x") {
+            Err(ClientError::Server { kind, .. }) => assert_eq!(kind, ErrorKind::ShuttingDown),
+            // The connection may already have been closed by the drain.
+            Err(ClientError::Frame(_)) | Err(ClientError::BadReply { .. }) => {}
+            Ok(resp) => panic!("request admitted after shutdown: {resp:?}"),
+        }
+
+        let summary = server.join();
+        assert_eq!(summary.overloaded, 1);
+        assert_eq!(summary.queued, 0);
+    }
+
+    #[test]
+    fn a_held_tenant_does_not_delay_another_tenant() {
+        let server = Server::<f64>::bind(ServeConfig::default()).expect("bind");
+        let mut client = ServeClient::connect(server.addr()).expect("connect");
+        for tenant in ["a", "b"] {
+            client.create_session(tenant, &[1.0], None).expect("create");
+        }
+        let a = lookup(&server, "a");
+        let held = a.lock().expect("not poisoned");
+        let waiting = solve_later(&server, "a");
+        wait_in_flight(&mut client, 1);
+        client
+            .get_allocation("b")
+            .expect("b is answered while a's solve waits");
+        drop(held);
+        waiting.join().expect("solver").expect("a solved");
+        client.shutdown().expect("shutdown");
+        server.join();
     }
 }

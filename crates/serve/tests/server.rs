@@ -1,26 +1,17 @@
 //! End-to-end server tests: session lifecycle with audited responses,
 //! concurrent multi-tenant traffic checked bit-identical against serial
-//! from-scratch solves on [`Rational`], deterministic overload rejection
-//! on bounded queues, graceful drain, one solve per coalesced burst, and
-//! the ascending row order of `Solved` replies under churn.
-
-use std::time::{Duration, Instant};
+//! from-scratch solves on [`Rational`], graceful drain, one solve per
+//! coalesced burst, and the ascending row order of `Solved` replies under
+//! churn. Overload and panic containment are unit tests in `server.rs`,
+//! where a test can hold a tenant's lock.
 
 use amf_audit::audit;
 use amf_core::incremental::{Delta, IncrementalAmf, JobId};
 use amf_core::{Allocation, AmfSolver, FairnessMode, Instance};
 use amf_numeric::Rational;
 use amf_serve::{
-    encode, read_frame, write_frame, ClientError, DeltaBatch, ErrorKind, Request, ServeClient,
-    ServeConfig, Server, WireDelta, WireScalar, DEFAULT_MAX_FRAME,
+    ClientError, DeltaBatch, ErrorKind, ServeClient, ServeConfig, Server, WireDelta, WireScalar,
 };
-
-fn local_cfg() -> ServeConfig {
-    ServeConfig {
-        workers: Some(2),
-        ..ServeConfig::default()
-    }
-}
 
 /// Deltas a lifecycle script sends, in wire and in session form. Keeping
 /// both in lockstep lets tests rebuild the exact instance the server holds.
@@ -77,7 +68,7 @@ fn as_delta<S: WireScalar>(w: &WireDelta) -> Delta<S> {
 
 #[test]
 fn lifecycle_solves_are_audit_certified() {
-    let server = Server::<f64>::bind(local_cfg()).expect("bind ephemeral port");
+    let server = Server::<f64>::bind(ServeConfig::default()).expect("bind ephemeral port");
     let addr = server.addr();
     let mut client = ServeClient::connect(addr).expect("connect");
 
@@ -139,7 +130,7 @@ fn lifecycle_solves_are_audit_certified() {
     client.shutdown().expect("shutdown ack");
     let summary = server.join();
     assert_eq!(summary.sessions, 1);
-    assert_eq!(summary.queued, 0, "drain leaves no queued work");
+    assert_eq!(summary.queued, 0, "drain leaves no request in flight");
 }
 
 /// `Solved::job_ids` is documented as ascending with `split` rows in the
@@ -147,7 +138,7 @@ fn lifecycle_solves_are_audit_certified() {
 /// among lower ones) must keep both true.
 #[test]
 fn solved_job_ids_stay_ascending_and_row_aligned_under_churn() {
-    let server = Server::<f64>::bind(local_cfg()).expect("bind ephemeral port");
+    let server = Server::<f64>::bind(ServeConfig::default()).expect("bind ephemeral port");
     let mut client = ServeClient::connect(server.addr()).expect("connect");
     let caps = [4.0, 4.0, 4.0];
     client.create_session("churn", &caps, None).expect("create");
@@ -201,7 +192,6 @@ fn solved_job_ids_stay_ascending_and_row_aligned_under_churn() {
 #[test]
 fn concurrent_tenants_match_serial_rational_solves() {
     let cfg = ServeConfig {
-        workers: Some(4),
         shards: 4,
         ..ServeConfig::default()
     };
@@ -359,91 +349,9 @@ fn concurrent_tenants_match_serial_rational_solves() {
     assert_eq!(summary.overloaded, 0);
 }
 
-/// Raw frame send over a bare TcpStream (the typed client would block
-/// waiting for a reply the no-worker server never sends).
-fn send_raw(stream: &mut std::net::TcpStream, req: &Request) {
-    write_frame(stream, &encode(req)).expect("write frame");
-}
-
-fn recv_raw(stream: &mut std::net::TcpStream) -> amf_serve::Response {
-    let payload = read_frame(stream, DEFAULT_MAX_FRAME)
-        .expect("read frame")
-        .expect("frame present");
-    amf_serve::decode_response(&payload).expect("decode response")
-}
-
-#[test]
-fn bounded_queue_rejects_with_overloaded_instead_of_blocking() {
-    // No workers: queued work sits until shutdown drains it inline, so the
-    // overload condition is deterministic, not a race against consumers.
-    let cfg = ServeConfig {
-        workers: Some(0),
-        shards: 1,
-        queue_cap: 2,
-        ..ServeConfig::default()
-    };
-    let server = Server::<f64>::bind(cfg).expect("bind");
-    let addr = server.addr();
-
-    let mut filler_a = std::net::TcpStream::connect(addr).expect("connect a");
-    let mut filler_b = std::net::TcpStream::connect(addr).expect("connect b");
-    filler_a
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    filler_b
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    send_raw(&mut filler_a, &Request::Solve { tenant: "x".into() });
-    send_raw(&mut filler_b, &Request::Solve { tenant: "x".into() });
-
-    // Wait until both fillers are actually queued (Stats runs inline and
-    // reports queue depth), then the next request must bounce.
-    let mut probe = ServeClient::connect(addr).expect("connect probe");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = probe.stats().expect("stats");
-        if stats.queued == 2 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "fillers never queued: {stats:?}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    match probe.solve("x") {
-        Err(ClientError::Server { kind, code, .. }) => {
-            assert_eq!(kind, ErrorKind::Overloaded);
-            assert_eq!(code, "overloaded");
-        }
-        other => panic!("expected Overloaded, got {other:?}"),
-    }
-
-    // Shutdown drains inline: the queued fillers get (typed) replies, and
-    // post-drain requests are refused as ShuttingDown, not Overloaded.
-    probe.shutdown().expect("shutdown ack");
-    for filler in [&mut filler_a, &mut filler_b] {
-        match recv_raw(filler) {
-            amf_serve::Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::UnknownTenant),
-            other => panic!("queued filler expected a drained reply, got {other:?}"),
-        }
-    }
-    match probe.solve("x") {
-        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, ErrorKind::ShuttingDown),
-        // The connection may already have been closed by the drain.
-        Err(ClientError::Frame(_)) | Err(ClientError::BadReply { .. }) => {}
-        Ok(resp) => panic!("request admitted after shutdown: {resp:?}"),
-    }
-
-    let summary = server.join();
-    assert_eq!(summary.overloaded, 1);
-    assert_eq!(summary.queued, 0);
-}
-
 #[test]
 fn coalescing_folds_a_delta_burst_into_one_solve() {
-    let cfg = ServeConfig {
-        workers: Some(1),
-        ..ServeConfig::default()
-    };
-    let server = Server::<f64>::bind(cfg).expect("bind");
+    let server = Server::<f64>::bind(ServeConfig::default()).expect("bind");
     let mut client = ServeClient::connect(server.addr()).expect("connect");
     client
         .create_session("t", &[8.0, 8.0], Some("plain"))
