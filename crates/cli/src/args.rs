@@ -40,6 +40,7 @@ NOTES:
     gen: --alpha sets Zipf skew of per-job site shares (default 0 = uniform);
          --load RHO adds Poisson arrivals at offered load RHO (default: batch).
     solve: --explain prints the freeze rounds (AMF policies only).
+    simulate: --jct-addon and srpt-per-site run on the fluid engine only.
 ";
 
 /// Parameters of `amf gen`.

@@ -138,6 +138,11 @@ pub fn solve(p: &SolveParams, stdin: &str) -> Result<String, String> {
 
 /// `amf simulate`.
 pub fn simulate_cmd(p: &SimulateParams, stdin: &str) -> Result<String, String> {
+    if p.engine == "slots" && p.jct_addon {
+        // The slot engine rounds the policy's own split; the add-on's
+        // re-balanced split would be silently dropped.
+        return Err("--jct-addon only supports the fluid engine, not --engine slots".into());
+    }
     let trace = read_trace(stdin)?;
     let split = if p.jct_addon {
         SplitStrategy::BalancedProgress { repair_rounds: 4 }

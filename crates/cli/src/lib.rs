@@ -108,6 +108,31 @@ mod tests {
     }
 
     #[test]
+    fn slot_engine_refuses_the_jct_addon() {
+        // The slot engine has no add-on split: the pair must fail, naming
+        // both flags, instead of reporting a plain slot run under an
+        // add-on header.
+        let trace = run(
+            &sv(&[
+                "gen", "--jobs", "12", "--sites", "4", "--alpha", "1.2", "--seed", "3",
+            ]),
+            "",
+        )
+        .unwrap();
+        let err = run(
+            &sv(&["simulate", "--engine", "slots", "--jct-addon"]),
+            &trace,
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("--jct-addon") && err.contains("--engine slots"),
+            "{err}"
+        );
+        assert!(run(&sv(&["simulate", "--engine", "slots"]), &trace).is_ok());
+        assert!(run(&sv(&["simulate", "--jct-addon"]), &trace).is_ok());
+    }
+
+    #[test]
     fn solve_rejects_garbage_input() {
         assert!(run(&sv(&["solve"]), "{nope").is_err());
     }

@@ -40,19 +40,95 @@ pub struct CapacityEvent {
     pub capacity: f64,
 }
 
-/// One in-flight job.
-struct ActiveJob {
-    /// Index into the trace.
-    idx: usize,
+/// One in-flight job: the row the engine's step functions work on, shared
+/// with the [`Scheduler`](crate::scheduler::Scheduler).
+pub(crate) struct ActiveJob {
+    /// Stable id: the trace index, or the scheduler's submission index.
+    pub(crate) idx: usize,
     /// Remaining work per site.
-    remaining: Vec<f64>,
+    pub(crate) remaining: Vec<f64>,
     /// Current demand caps (zeroed where the portion finished).
-    demand: Vec<f64>,
+    pub(crate) demand: Vec<f64>,
 }
 
 impl ActiveJob {
+    /// The admission rule: a zero-work portion carries no demand, and a
+    /// job with no work at all is not admitted (`None`) — it completes on
+    /// arrival.
+    pub(crate) fn admit(idx: usize, work: Vec<f64>, mut demand: Vec<f64>) -> Option<ActiveJob> {
+        for (d, &w) in demand.iter_mut().zip(&work) {
+            if w <= 0.0 {
+                *d = 0.0;
+            }
+        }
+        let job = ActiveJob {
+            idx,
+            remaining: work,
+            demand,
+        };
+        (!job.finished()).then_some(job)
+    }
+
     fn finished(&self) -> bool {
         self.remaining.iter().all(|&r| r <= 0.0)
+    }
+}
+
+/// Time until the first portion of `active` completes under `rates` (rows
+/// aligned with `active`); infinite when no portion progresses.
+pub(crate) fn next_completion(active: &[ActiveJob], rates: &[Vec<f64>]) -> f64 {
+    let mut dt = f64::INFINITY;
+    for (a, row) in active.iter().zip(rates) {
+        for (&rem, &rate) in a.remaining.iter().zip(row) {
+            if rem > 0.0 && rate > RATE_EPS {
+                dt = dt.min(rem / rate);
+            }
+        }
+    }
+    dt
+}
+
+/// A change [`advance_and_retire`] reports, by the job's `idx`.
+pub(crate) enum Progress {
+    /// The job's portion at `site` finished (its demand there is now 0).
+    Portion { idx: usize, site: usize },
+    /// The job finished its last portion and left the active set.
+    Retired { idx: usize },
+}
+
+/// Run every job of `active` for `dt` at `rates` (rows aligned with
+/// `active`), then retire the jobs with no work left (`swap_remove`, so
+/// `rates` no longer lines up once a job retires). `on_progress` sees
+/// every portion completion in active-set order, then every retirement.
+pub(crate) fn advance_and_retire(
+    active: &mut Vec<ActiveJob>,
+    rates: &[Vec<f64>],
+    dt: f64,
+    mut on_progress: impl FnMut(Progress),
+) {
+    for (a, row) in active.iter_mut().zip(rates) {
+        for (s, &rate) in row.iter().enumerate() {
+            if a.remaining[s] > 0.0 {
+                a.remaining[s] -= rate * dt;
+                if a.remaining[s] <= WORK_EPS {
+                    a.remaining[s] = 0.0;
+                    a.demand[s] = 0.0;
+                    on_progress(Progress::Portion {
+                        idx: a.idx,
+                        site: s,
+                    });
+                }
+            }
+        }
+    }
+    let mut k = 0;
+    while k < active.len() {
+        if active[k].finished() {
+            on_progress(Progress::Retired { idx: active[k].idx });
+            active.swap_remove(k);
+        } else {
+            k += 1;
+        }
     }
 }
 
@@ -261,13 +337,13 @@ pub fn simulate_dynamic(trace: &Trace, policy: &dyn crate::dynamic::DynamicPolic
 /// Everything a rate source may need at a reallocation instant. Rows of
 /// `demands`/`remaining` (and entries of `ids`) are in active-set order —
 /// the order rate-matrix rows must come back in.
-struct RateCtx<'a> {
+pub(crate) struct RateCtx<'a> {
     /// Current site capacities (after any capacity events).
-    capacities: &'a [f64],
+    pub(crate) capacities: &'a [f64],
     /// Demand caps of the active jobs.
-    demands: &'a [Vec<f64>],
+    pub(crate) demands: &'a [Vec<f64>],
     /// Remaining work of the active jobs.
-    remaining: &'a [Vec<f64>],
+    pub(crate) remaining: &'a [Vec<f64>],
     /// Stable id of each active job (its trace index).
     ids: &'a [u64],
     /// Typed deltas since the previous reallocation, in event order:
@@ -277,21 +353,23 @@ struct RateCtx<'a> {
 
 impl RateCtx<'_> {
     /// The active set as a dense [`Instance`] (from-scratch paths).
-    fn instance(&self) -> Instance<f64> {
+    pub(crate) fn instance(&self) -> Instance<f64> {
         Instance::new(self.capacities.to_vec(), self.demands.to_vec())
             .expect("active jobs always form a valid instance")
     }
 }
 
 /// Rate callback: the context for this instant → rate matrix.
-type RateFn<'a> = &'a mut dyn FnMut(&RateCtx<'_>) -> Vec<Vec<f64>>;
+pub(crate) type RateFn<'a> = &'a mut dyn FnMut(&RateCtx<'_>) -> Vec<Vec<f64>>;
 
-/// The shared fluid event loop. `rate_fn(ctx)` returns the rate matrix for
-/// the current instant; `capacity_events` inject site capacity changes.
-/// The engine narrates every change to the active set as a [`Delta`]
-/// stream, which [`simulate_incremental_with_stats`] passes on to the
-/// policy's session; the other rate sources ignore it.
-fn run_engine(
+/// The crate's one fluid event loop: every offline engine (fluid,
+/// dynamic, session-driven, slot-rounded) is a rate source of it.
+/// `rate_fn(ctx)` returns the rate matrix for the current instant;
+/// `capacity_events` inject site capacity changes. The engine narrates
+/// every change to the active set as a [`Delta`] stream, which
+/// [`simulate_incremental_with_stats`] passes on to the policy's session;
+/// the other rate sources ignore it.
+pub(crate) fn run_engine(
     trace: &Trace,
     capacity_events: &[CapacityEvent],
     quantum: Option<f64>,
@@ -381,27 +459,16 @@ fn run_engine(
         while next_arrival < order.len() && trace.jobs[order[next_arrival]].arrival <= t {
             let idx = order[next_arrival];
             let job = &trace.jobs[idx];
-            let mut aj = ActiveJob {
-                idx,
-                remaining: job.work.clone(),
-                demand: job.demand.clone(),
-            };
-            // Zero-work portions carry no demand.
-            for s in 0..m {
-                if aj.remaining[s] <= 0.0 {
-                    aj.demand[s] = 0.0;
+            match ActiveJob::admit(idx, job.work.clone(), job.demand.clone()) {
+                Some(aj) => {
+                    deltas.push(Delta::AddJob {
+                        id: JobId(idx as u64),
+                        demands: aj.demand.clone(),
+                        weight: 1.0,
+                    });
+                    active.push(aj);
                 }
-            }
-            if aj.finished() {
-                // A zero-work job completes instantly on arrival.
-                outcomes[idx].completion = Some(t.max(job.arrival));
-            } else {
-                deltas.push(Delta::AddJob {
-                    id: JobId(idx as u64),
-                    demands: aj.demand.clone(),
-                    weight: 1.0,
-                });
-                active.push(aj);
+                None => outcomes[idx].completion = Some(t.max(job.arrival)),
             }
             next_arrival += 1;
         }
@@ -476,15 +543,7 @@ fn run_engine(
                 .collect()
         };
 
-        // Next portion completion under these rates.
-        let mut dt_complete = f64::INFINITY;
-        for (a, rate_row) in active.iter().zip(&rates) {
-            for s in 0..m {
-                if a.remaining[s] > 0.0 && rate_row[s] > RATE_EPS {
-                    dt_complete = dt_complete.min(a.remaining[s] / rate_row[s]);
-                }
-            }
-        }
+        let dt_complete = next_completion(&active, &rates);
         let dt_arrival = order
             .get(next_arrival)
             .map(|&idx| trace.jobs[idx].arrival - t)
@@ -517,38 +576,20 @@ fn run_engine(
             .sum();
         used_capacity_time += consumed * dt;
         t += dt;
-
-        for (a, rate_row) in active.iter_mut().zip(&rates) {
-            for s in 0..m {
-                if a.remaining[s] > 0.0 {
-                    a.remaining[s] -= rate_row[s] * dt;
-                    if a.remaining[s] <= WORK_EPS {
-                        a.remaining[s] = 0.0;
-                        a.demand[s] = 0.0;
-                        deltas.push(Delta::DemandChange {
-                            id: JobId(a.idx as u64),
-                            site: s,
-                            demand: 0.0,
-                        });
-                    }
-                }
-            }
-        }
-
-        // Retire finished jobs.
-        let mut k = 0;
-        while k < active.len() {
-            if active[k].finished() {
-                outcomes[active[k].idx].completion = Some(t);
+        advance_and_retire(&mut active, &rates, dt, |progress| match progress {
+            Progress::Portion { idx, site } => deltas.push(Delta::DemandChange {
+                id: JobId(idx as u64),
+                site,
+                demand: 0.0,
+            }),
+            Progress::Retired { idx } => {
+                outcomes[idx].completion = Some(t);
                 makespan = makespan.max(t);
                 deltas.push(Delta::RemoveJob {
-                    id: JobId(active[k].idx as u64),
+                    id: JobId(idx as u64),
                 });
-                active.swap_remove(k);
-            } else {
-                k += 1;
             }
-        }
+        });
     }
 
     let available = capacity_integral(&trace.capacities, &events, makespan);

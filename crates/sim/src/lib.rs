@@ -16,14 +16,15 @@
 //!   **JCT add-on** ([`split::balanced_progress_split`]), which aims per-
 //!   site rates proportional to per-site remaining work so all portions of
 //!   a job finish together — without changing the (fair) aggregates;
-//! * [`slots`] — a slot-granular (integral) variant of the engine that
-//!   rounds fluid allocations to whole slots, used to check that the fluid
-//!   results are not an artifact of infinite divisibility;
+//! * [`slots`] — the slot-granular (integral) variant: the same event
+//!   loop with each reallocation rounded to whole slots, used to check
+//!   that the fluid results are not an artifact of infinite divisibility;
 //! * [`tasks`] — a task-granular engine (discrete tasks on discrete slots,
 //!   non-preemptive), the strongest realism check;
 //! * [`scheduler`] — the embeddable incremental API: *you* own the clock
 //!   and the job stream (submit / advance / events), for integrating AMF
-//!   into a real resource manager loop;
+//!   into a real resource manager loop; it steps its jobs with the
+//!   engine's own admission rule, completion scan and advance step;
 //! * [`simulate_incremental_with_stats`] — the same event loop with each
 //!   decision handed to a policy's [`IncrementalSession`], the hook a
 //!   benchmark uses to time and trace every reallocation.

@@ -22,14 +22,14 @@
 //! (submission, portion/job completion, capacity change) the next
 //! [`Scheduler::advance`] or [`Scheduler::allocation`] call re-runs the
 //! policy. Between changes, rates are constant and time advances in one
-//! step — the same fluid semantics as the offline engine, which the tests
-//! exploit to cross-check the two.
+//! step. Each step is the offline engine's own: the scheduler keeps its
+//! jobs in the engine's active-set rows and calls the engine's admission
+//! rule, next-completion scan and advance-and-retire step, so the two share
+//! their fluid semantics and tolerances; the tests cross-check them.
 
 use crate::dynamic::DynamicPolicy;
+use crate::engine::{advance_and_retire, next_completion, ActiveJob, Progress};
 use amf_core::Instance;
-
-const WORK_EPS: f64 = 1e-7;
-const RATE_EPS: f64 = 1e-12;
 
 /// Identifier of a submitted job (dense, starting at 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,22 +38,12 @@ pub struct JobId(pub usize);
 /// State of one submitted job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedJob {
-    /// Remaining work per site.
-    pub remaining: Vec<f64>,
-    /// Current demand caps (zeroed where the portion finished).
-    pub demand: Vec<f64>,
     /// Submission time.
     pub submitted_at: f64,
     /// Completion time, once all portions are done.
     pub completed_at: Option<f64>,
     /// Total resource-time received so far (∫ Σ_s rate dt).
     pub service: f64,
-}
-
-impl SchedJob {
-    fn finished(&self) -> bool {
-        self.remaining.iter().all(|&r| r <= 0.0)
-    }
 }
 
 /// Events reported by [`Scheduler::advance`], in time order.
@@ -83,8 +73,9 @@ pub struct Scheduler {
     policy: Box<dyn DynamicPolicy>,
     now: f64,
     jobs: Vec<SchedJob>,
-    /// Indices of unfinished jobs.
-    active: Vec<usize>,
+    /// Unfinished jobs (`idx` = submission index), stepped by the engine's
+    /// step functions.
+    active: Vec<ActiveJob>,
     /// Rates aligned with `active`; rebuilt when `dirty`.
     rates: Vec<Vec<f64>>,
     dirty: bool,
@@ -149,25 +140,15 @@ impl Scheduler {
                 "work at site {s} but zero demand"
             );
         }
-        let mut job = SchedJob {
-            remaining: work,
-            demand,
-            submitted_at: self.now,
-            completed_at: None,
-            service: 0.0,
-        };
-        for s in 0..m {
-            if job.remaining[s] <= 0.0 {
-                job.demand[s] = 0.0;
-            }
-        }
         let id = JobId(self.jobs.len());
-        if job.finished() {
-            job.completed_at = Some(self.now);
-            self.jobs.push(job);
-        } else {
-            self.jobs.push(job);
-            self.active.push(id.0);
+        let admitted = ActiveJob::admit(id.0, work, demand);
+        self.jobs.push(SchedJob {
+            submitted_at: self.now,
+            completed_at: admitted.is_none().then_some(self.now),
+            service: 0.0,
+        });
+        if let Some(job) = admitted {
+            self.active.push(job);
             self.dirty = true;
         }
         id
@@ -197,7 +178,7 @@ impl Scheduler {
         self.active
             .iter()
             .zip(&self.rates)
-            .map(|(&j, row)| (JobId(j), row.clone()))
+            .map(|(a, row)| (JobId(a.idx), row.clone()))
             .collect()
     }
 
@@ -210,16 +191,8 @@ impl Scheduler {
             self.dirty = false;
             return;
         }
-        let demands: Vec<Vec<f64>> = self
-            .active
-            .iter()
-            .map(|&j| self.jobs[j].demand.clone())
-            .collect();
-        let remaining: Vec<Vec<f64>> = self
-            .active
-            .iter()
-            .map(|&j| self.jobs[j].remaining.clone())
-            .collect();
+        let demands: Vec<Vec<f64>> = self.active.iter().map(|a| a.demand.clone()).collect();
+        let remaining: Vec<Vec<f64>> = self.active.iter().map(|a| a.remaining.clone()).collect();
         let inst = Instance::new(self.capacities.clone(), demands)
             .expect("active jobs form a valid instance");
         self.rates = self
@@ -239,7 +212,6 @@ impl Scheduler {
     /// Panics if `dt` is negative or not finite.
     pub fn advance(&mut self, dt: f64) -> Vec<SchedEvent> {
         assert!(dt >= 0.0 && dt.is_finite(), "invalid dt");
-        let m = self.capacities.len();
         let deadline = self.now + dt;
         let mut events = Vec::new();
 
@@ -249,55 +221,38 @@ impl Scheduler {
                 self.now = deadline;
                 break;
             }
-            // Next internal completion under current rates.
-            let mut step = deadline - self.now;
-            for (&j, row) in self.active.iter().zip(&self.rates) {
-                for s in 0..m {
-                    let rem = self.jobs[j].remaining[s];
-                    if rem > 0.0 && row[s] > RATE_EPS {
-                        step = step.min(rem / row[s]);
+            let step = (deadline - self.now).min(next_completion(&self.active, &self.rates));
+            let at = self.now + step;
+            for (a, row) in self.active.iter().zip(&self.rates) {
+                let job = &mut self.jobs[a.idx];
+                for (s, &rate) in row.iter().enumerate() {
+                    if a.remaining[s] > 0.0 {
+                        job.service += rate * step;
                     }
                 }
             }
-            // Advance work and service.
-            let at = self.now + step;
-            for (&j, row) in self.active.iter().zip(&self.rates) {
-                let job = &mut self.jobs[j];
-                for s in 0..m {
-                    if job.remaining[s] > 0.0 {
-                        job.remaining[s] -= row[s] * step;
-                        job.service += row[s] * step;
-                        if job.remaining[s] <= WORK_EPS {
-                            job.remaining[s] = 0.0;
-                            job.demand[s] = 0.0;
-                            events.push(SchedEvent::PortionCompleted {
-                                job: JobId(j),
-                                site: s,
-                                at,
-                            });
-                            self.dirty = true;
+            // Any completion changes the demand picture (and a retirement
+            // leaves `rates` misaligned until the reallocation).
+            let before = events.len();
+            let jobs = &mut self.jobs;
+            advance_and_retire(&mut self.active, &self.rates, step, |progress| {
+                events.push(match progress {
+                    Progress::Portion { idx, site } => SchedEvent::PortionCompleted {
+                        job: JobId(idx),
+                        site,
+                        at,
+                    },
+                    Progress::Retired { idx } => {
+                        jobs[idx].completed_at = Some(at);
+                        SchedEvent::JobCompleted {
+                            job: JobId(idx),
+                            at,
                         }
                     }
-                }
-            }
+                });
+            });
+            self.dirty |= events.len() > before;
             self.now = at;
-            // Retire completed jobs.
-            let mut k = 0;
-            while k < self.active.len() {
-                let j = self.active[k];
-                if self.jobs[j].finished() {
-                    self.jobs[j].completed_at = Some(at);
-                    events.push(SchedEvent::JobCompleted { job: JobId(j), at });
-                    self.active.swap_remove(k);
-                    // Rates must stay aligned with `active`.
-                    if k < self.rates.len() {
-                        self.rates.swap_remove(k);
-                    }
-                    self.dirty = true;
-                } else {
-                    k += 1;
-                }
-            }
             // If nothing can progress and nothing completed, the rest of
             // the interval passes idle (e.g. zero rates from outage).
             if !self.dirty && step >= deadline - self.now {
@@ -385,8 +340,9 @@ mod tests {
         for (id, outcome) in ids.iter().zip(&offline.jobs) {
             let online = sched.job(*id).completed_at.expect("finished");
             let off = outcome.completion.expect("finished");
-            assert!(
-                (online - off).abs() < 1e-6,
+            assert_eq!(
+                online.to_bits(),
+                off.to_bits(),
                 "job {id:?}: online {online} vs offline {off}"
             );
         }
@@ -486,8 +442,9 @@ mod tests {
         for (id, outcome) in ids.iter().zip(&offline.jobs) {
             let online = sched.job(*id).completed_at.expect("finished");
             let off = outcome.completion.expect("finished");
-            assert!(
-                (online - off).abs() < 1e-6,
+            assert_eq!(
+                online.to_bits(),
+                off.to_bits(),
                 "job {id:?}: online {online} vs offline {off}"
             );
         }

@@ -1,18 +1,18 @@
 //! Slot-granular simulation: fluid allocations rounded to whole slots.
 //!
-//! Real clusters hand out integral slots/containers, not fluid rates. This
-//! engine re-runs the fluid loop but discretizes each site's allocation by
-//! **largest-remainder rounding** (each job gets `floor(x)` slots, the
-//! site's leftover slots go to the largest fractional parts, ties broken
-//! toward the job with the most remaining work to prevent starvation).
+//! Real clusters hand out integral slots/containers, not fluid rates.
+//! [`simulate_slots`] runs the fluid engine's event loop with each
+//! reallocation discretized site by site by **largest-remainder
+//! rounding** (each job gets `floor(x)` slots, the site's leftover slots
+//! go to the largest fractional parts, ties broken toward the job with the
+//! most remaining work to prevent starvation).
 //! Comparing its results against the fluid engine checks that the paper's
 //! conclusions are not an artifact of infinite divisibility (ablation).
 
-use crate::report::{JobOutcome, SimReport};
-use amf_core::{AllocationPolicy, Instance};
+use crate::engine::{run_engine, RateCtx};
+use crate::report::SimReport;
+use amf_core::AllocationPolicy;
 use amf_workload::trace::Trace;
-
-const WORK_EPS: f64 = 1e-7;
 
 /// Round one site's fluid allocations to integral slots.
 ///
@@ -52,159 +52,27 @@ pub fn largest_remainder_round(
 }
 
 /// Simulate with integral slot allocations (same contract as
-/// [`crate::simulate`]).
+/// [`crate::simulate`]): the fluid engine, with each reallocation's
+/// allocation rounded site by site by [`largest_remainder_round`].
 ///
 /// # Panics
 /// Panics on malformed traces (see [`crate::simulate`]).
 pub fn simulate_slots(trace: &Trace, policy: &dyn AllocationPolicy<f64>) -> SimReport {
-    let m = trace.capacities.len();
-    let total_capacity: f64 = trace.capacities.iter().sum();
-
-    let mut order: Vec<usize> = (0..trace.jobs.len()).collect();
-    order.sort_by(|&a, &b| {
-        trace.jobs[a]
-            .arrival
-            .partial_cmp(&trace.jobs[b].arrival)
-            .expect("NaN arrival time")
-    });
-    let mut next_arrival = 0usize;
-
-    let mut outcomes: Vec<JobOutcome> = trace
-        .jobs
-        .iter()
-        .map(|j| JobOutcome {
-            arrival: j.arrival,
-            completion: None,
-        })
-        .collect();
-
-    struct Active {
-        idx: usize,
-        remaining: Vec<f64>,
-        demand: Vec<f64>,
-    }
-
-    let mut active: Vec<Active> = Vec::new();
-    let mut t = 0.0f64;
-    let mut used_capacity_time = 0.0f64;
-    let mut reallocations = 0usize;
-    let mut makespan = 0.0f64;
-
-    loop {
-        while next_arrival < order.len() && trace.jobs[order[next_arrival]].arrival <= t {
-            let idx = order[next_arrival];
-            let job = &trace.jobs[idx];
-            assert_eq!(job.work.len(), m, "job {idx}: ragged work row");
-            let mut demand = job.demand.clone();
-            for s in 0..m {
-                assert!(
-                    job.work[s] <= 0.0 || job.demand[s] > 0.0,
-                    "job {idx}: work at site {s} but zero demand"
-                );
-                if job.work[s] <= 0.0 {
-                    demand[s] = 0.0;
-                }
-            }
-            if job.work.iter().all(|&w| w <= 0.0) {
-                outcomes[idx].completion = Some(t.max(job.arrival));
-            } else {
-                active.push(Active {
-                    idx,
-                    remaining: job.work.clone(),
-                    demand,
-                });
-            }
-            next_arrival += 1;
-        }
-
-        if active.is_empty() {
-            match order.get(next_arrival) {
-                Some(&idx) => {
-                    t = trace.jobs[idx].arrival;
-                    continue;
-                }
-                None => break,
-            }
-        }
-
-        let inst = Instance::new(
-            trace.capacities.clone(),
-            active.iter().map(|a| a.demand.clone()).collect(),
-        )
-        .expect("valid instance");
-        let fluid = policy.allocate(&inst);
-        reallocations += 1;
-
-        // Round each site independently.
-        let n = active.len();
-        let mut rates = vec![vec![0.0; m]; n];
-        for s in 0..m {
+    run_engine(trace, &[], None, &mut |ctx: &RateCtx<'_>| {
+        let fluid = policy.allocate(&ctx.instance());
+        let n = ctx.demands.len();
+        let mut rates = vec![vec![0.0; ctx.capacities.len()]; n];
+        for (s, &capacity) in ctx.capacities.iter().enumerate() {
             let fluid_col: Vec<f64> = (0..n).map(|j| fluid.at(j, s)).collect();
-            let demand_col: Vec<f64> = active.iter().map(|a| a.demand[s]).collect();
-            let rem_col: Vec<f64> = active.iter().map(|a| a.remaining[s]).collect();
-            let slots =
-                largest_remainder_round(&fluid_col, trace.capacities[s], &demand_col, &rem_col);
-            for j in 0..n {
-                rates[j][s] = slots[j];
+            let demand_col: Vec<f64> = ctx.demands.iter().map(|d| d[s]).collect();
+            let rem_col: Vec<f64> = ctx.remaining.iter().map(|r| r[s]).collect();
+            let slots = largest_remainder_round(&fluid_col, capacity, &demand_col, &rem_col);
+            for (row, slot) in rates.iter_mut().zip(slots) {
+                row[s] = slot;
             }
         }
-
-        let mut dt_complete = f64::INFINITY;
-        for (a, row) in active.iter().zip(&rates) {
-            for s in 0..m {
-                if a.remaining[s] > 0.0 && row[s] > 0.0 {
-                    dt_complete = dt_complete.min(a.remaining[s] / row[s]);
-                }
-            }
-        }
-        let dt_arrival = order
-            .get(next_arrival)
-            .map(|&idx| trace.jobs[idx].arrival - t)
-            .unwrap_or(f64::INFINITY);
-        let dt = dt_complete.min(dt_arrival);
-        if !dt.is_finite() {
-            break;
-        }
-
-        let consumed: f64 = rates.iter().flatten().sum();
-        used_capacity_time += consumed * dt;
-        t += dt;
-        for (a, row) in active.iter_mut().zip(&rates) {
-            for s in 0..m {
-                if a.remaining[s] > 0.0 {
-                    a.remaining[s] -= row[s] * dt;
-                    if a.remaining[s] <= WORK_EPS {
-                        a.remaining[s] = 0.0;
-                        a.demand[s] = 0.0;
-                    }
-                }
-            }
-        }
-
-        let mut k = 0;
-        while k < active.len() {
-            if active[k].remaining.iter().all(|&r| r <= 0.0) {
-                outcomes[active[k].idx].completion = Some(t);
-                makespan = makespan.max(t);
-                active.swap_remove(k);
-            } else {
-                k += 1;
-            }
-        }
-    }
-
-    let mean_utilization = if makespan > 0.0 && total_capacity > 0.0 {
-        used_capacity_time / (total_capacity * makespan)
-    } else {
-        0.0
-    };
-
-    SimReport {
-        jobs: outcomes,
-        makespan,
-        mean_utilization,
-        reallocations,
-    }
+        rates
+    })
 }
 
 #[cfg(test)]
