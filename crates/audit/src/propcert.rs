@@ -147,11 +147,96 @@ pub fn si_cert<S: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amf_core::AmfSolver;
+    use crate::feasibility_cert;
+    use amf_core::{AllocationPolicy, AmfSolver, EqualDivision, PerSiteMaxMin};
     use amf_numeric::Rational;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn ri(n: i128) -> Rational {
         Rational::from_int(n)
+    }
+
+    /// The paper's Example 2: job 0 (spread demand) has equal share 10,
+    /// but plain AMF equalizes both jobs at 15/2.
+    fn si_violation_instance() -> Instance<Rational> {
+        Instance::new(
+            vec![ri(10), ri(10)],
+            vec![vec![ri(5), ri(5)], vec![ri(0), ri(10)]],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn enhanced_amf_repairs_the_violation() {
+        let inst = si_violation_instance();
+        let alloc = AmfSolver::enhanced().allocate(&inst);
+        assert_eq!(alloc.aggregate(0), ri(10));
+        assert_eq!(alloc.aggregate(1), ri(5));
+        assert!(si_cert(&inst, &alloc).is_proved());
+        // The repaired allocation is still feasible and Pareto efficient.
+        assert!(feasibility_cert(&inst, &alloc).is_proved());
+        let witness = pareto_cert(&inst, &alloc).witness().cloned();
+        assert_eq!(witness.expect("must prove").rank_all, ri(15));
+    }
+
+    #[test]
+    fn amf_is_pareto_efficient_and_envy_free_on_random_instances() {
+        let mut rng = StdRng::seed_from_u64(99);
+        for _ in 0..40 {
+            let n = rng.gen_range(1..6usize);
+            let m = rng.gen_range(1..4usize);
+            let inst = Instance::new(
+                (0..m).map(|_| ri(rng.gen_range(0..12))).collect(),
+                (0..n)
+                    .map(|_| (0..m).map(|_| ri(rng.gen_range(0..10))).collect())
+                    .collect(),
+            )
+            .unwrap();
+            let alloc = AmfSolver::new().allocate(&inst);
+            assert!(feasibility_cert(&inst, &alloc).is_proved());
+            assert!(pareto_cert(&inst, &alloc).is_proved());
+            let envy = envy_cert(&inst, &alloc);
+            assert_eq!(
+                envy.witness().expect("envy-free").pairs_checked,
+                n * (n - 1)
+            );
+        }
+    }
+
+    #[test]
+    fn equal_division_satisfies_si_but_not_pareto() {
+        // One site of capacity 10: job 0 demands 4 (below its 5-slice),
+        // job 1 demands 10. Equal division leaves 1 unit idle that job 1
+        // could use.
+        let inst = Instance::new(vec![ri(10)], vec![vec![ri(4)], vec![ri(10)]]).unwrap();
+        let alloc = EqualDivision.allocate(&inst);
+        assert_eq!(alloc.aggregates(), &[ri(4), ri(5)]);
+        assert!(si_cert(&inst, &alloc).is_proved());
+        match pareto_cert(&inst, &alloc).counterexample() {
+            Some(ParetoViolation::Improvable { job, gain }) => {
+                assert_eq!((*job, *gain), (1, ri(1)));
+            }
+            None => panic!("equal division wastes a unit here"),
+        }
+    }
+
+    #[test]
+    fn per_site_max_min_is_pareto_but_aggregate_unbalanced() {
+        let inst = Instance::new(
+            vec![ri(6), ri(2)],
+            vec![vec![ri(6), ri(0)], vec![ri(6), ri(2)]],
+        )
+        .unwrap();
+        let alloc = PerSiteMaxMin.allocate(&inst);
+        assert!(pareto_cert(&inst, &alloc).is_proved());
+        // Aggregates (3, 5): job 0 envies nothing it can use more of, so
+        // envy-freeness still holds; only the lex-optimality certificate
+        // separates PSMF from AMF's (4, 4) (experiment E1).
+        assert_eq!(alloc.aggregates(), &[ri(3), ri(5)]);
+        assert!(envy_cert(&inst, &alloc).is_proved());
+        let lex = crate::lex_optimality_cert(&inst, &alloc, amf_core::FairnessMode::Plain);
+        assert!(lex.is_violated());
     }
 
     #[test]
@@ -210,14 +295,12 @@ mod tests {
 
     #[test]
     fn plain_amf_can_fail_sharing_incentive() {
-        // Example 2 of the paper: equal share of job 0 is 10, plain AMF
-        // gives it only 15/2.
-        let inst = Instance::new(
-            vec![ri(10), ri(10)],
-            vec![vec![ri(5), ri(5)], vec![ri(0), ri(10)]],
-        )
-        .unwrap();
+        // The abstract's claim on one instance: plain AMF is Pareto
+        // efficient and envy-free, yet fails sharing incentive.
+        let inst = si_violation_instance();
         let plain = AmfSolver::new().solve(&inst).allocation;
+        assert!(pareto_cert(&inst, &plain).is_proved());
+        assert!(envy_cert(&inst, &plain).is_proved());
         let cert = si_cert(&inst, &plain);
         let violations = cert.counterexample().expect("must violate");
         assert_eq!(violations.len(), 1);

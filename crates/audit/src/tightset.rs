@@ -150,7 +150,7 @@ pub fn lex_optimality_cert<S: Scalar>(
             .enumerate()
             .filter(|&(_, &inside)| inside)
             .map(|(i, _)| alloc.aggregate(i)));
-        if !close_scaled(member_total, rank) {
+        if !member_total.approx_eq_rel(rank) {
             violations.push(LexViolation::RankGap {
                 job: j,
                 rank,
@@ -178,14 +178,6 @@ pub fn lex_optimality_cert<S: Scalar>(
             counterexample: violations,
         }
     }
-}
-
-/// Relative-tolerance equality for sums over up to `n` jobs (exact for
-/// exact scalars), mirroring the solver's flow-vs-target comparison.
-fn close_scaled<S: Scalar>(a: S, b: S) -> bool {
-    let diff = if a > b { a - b } else { b - a };
-    let scale = S::ONE + if a > b { a } else { b };
-    !(diff > S::eps() * scale)
 }
 
 #[cfg(test)]

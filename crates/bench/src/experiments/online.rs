@@ -1,7 +1,7 @@
 //! E7 — online simulation with Poisson arrivals across offered loads.
 
 use crate::ExpContext;
-use amf_core::{AllocationPolicy, AmfSolver, PerSiteMaxMin, PooledAmf};
+use amf_core::{AllocationPolicy, AmfSolver, PerSiteMaxMin};
 use amf_metrics::{fmt2, fmt4, percentile, Table};
 use amf_sim::{simulate_many, SimConfig, SimReport, SplitStrategy};
 use amf_workload::arrivals::{poisson_arrivals, rate_for_load};
@@ -94,7 +94,7 @@ pub fn online_load(ctx: &ExpContext, params: &OnlineParams) -> Table {
     let contenders: Vec<(&'static str, MakePolicy, SimConfig)> = vec![
         (
             "amf+jct",
-            || Box::new(PooledAmf::<f64>::new(AmfSolver::new())),
+            || Box::new(AmfSolver::new()),
             SimConfig {
                 split: SplitStrategy::BalancedProgress { repair_rounds: 4 },
                 ..SimConfig::default()

@@ -6,10 +6,8 @@
 //! incentive; Enhanced AMF guarantees sharing incentive.
 
 use crate::ExpContext;
-use amf_core::properties::{
-    is_envy_free, is_pareto_efficient, probe_strategy_proofness, satisfies_sharing_incentive,
-    sharing_incentive_shortfalls,
-};
+use amf_audit::{envy_cert, pareto_cert, si_cert};
+use amf_core::properties::probe_strategy_proofness;
 use amf_core::{AllocationPolicy, AmfSolver, Instance, PerSiteMaxMin};
 use amf_metrics::{fmt4, Table};
 use amf_numeric::Rational;
@@ -117,13 +115,13 @@ pub fn property_rates(ctx: &ExpContext, params: &PropertyParams) -> Table {
                     let inst = random_instance(&mut rng, params.max_jobs, params.max_sites);
                     let alloc = policy.allocate(&inst);
                     let mut c = Counts::default();
-                    if is_pareto_efficient(&inst, &alloc) {
+                    if pareto_cert(&inst, &alloc).is_proved() {
                         c.pareto_ok += 1;
                     }
-                    if is_envy_free(&inst, &alloc) {
+                    if envy_cert(&inst, &alloc).is_proved() {
                         c.envy_free_ok += 1;
                     }
-                    if satisfies_sharing_incentive(&inst, &alloc) {
+                    if si_cert(&inst, &alloc).is_proved() {
                         c.sharing_ok += 1;
                     }
                     for _ in 0..params.probes_per_instance {
@@ -260,14 +258,15 @@ pub fn sharing_incentive(ctx: &ExpContext, params: &SharingIncentiveParams) -> T
                 )
                 .expect("valid instance");
                 let alloc = solver.allocate(&inst);
-                for (j, gap) in sharing_incentive_shortfalls(&inst, &alloc)
+                total_jobs += inst.n_jobs();
+                for v in si_cert(&inst, &alloc)
+                    .counterexample()
                     .into_iter()
-                    .enumerate()
+                    .flatten()
                 {
-                    total_jobs += 1;
-                    if gap > 1e-6 {
+                    if v.shortfall > 1e-6 {
                         below += 1;
-                        let rel = gap / inst.equal_share(j);
+                        let rel = v.shortfall / v.equal_share;
                         sum_rel += rel;
                         max_rel = max_rel.max(rel);
                     }
@@ -293,17 +292,45 @@ pub fn sharing_incentive(ctx: &ExpContext, params: &SharingIncentiveParams) -> T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amf_metrics::ToCsv;
+
+    /// The table's data rows, split into cells.
+    fn rows(table: &Table) -> Vec<Vec<String>> {
+        let csv = table.to_csv();
+        let cells = |line: &str| line.split(',').map(str::to_owned).collect();
+        csv.lines().skip(1).map(cells).collect()
+    }
 
     #[test]
     fn e5_rates_match_paper_claims() {
-        let table = property_rates(&ExpContext::silent(), &PropertyParams::fast());
-        assert_eq!(table.n_rows(), 3);
+        let params = PropertyParams::fast();
+        let rows = rows(&property_rates(&ExpContext::silent(), &params));
+        // AMF is Pareto efficient, envy-free and strategy-proof on every
+        // instance and probe, but not always sharing-incentive; Enhanced
+        // AMF restores SI and stays Pareto efficient.
+        let (amf, enhanced) = (&rows[0], &rows[1]);
+        assert_eq!(amf[..3], ["amf", "1.0000", "1.0000"], "{amf:?}");
+        assert_ne!(amf[3], "1.0000", "plain AMF never failed SI: {amf:?}");
+        assert_eq!(
+            amf[4],
+            format!("0/{}", params.trials * params.probes_per_instance)
+        );
+        assert_eq!(enhanced[..2], ["amf-enhanced", "1.0000"], "{enhanced:?}");
+        assert_eq!(enhanced[3], "1.0000", "{enhanced:?}");
     }
 
     #[test]
     fn e6_enhanced_never_falls_below() {
         let params = SharingIncentiveParams::fast();
         let table = sharing_incentive(&ExpContext::silent(), &params);
-        assert_eq!(table.n_rows(), params.sparsity_levels.len() * 2);
+        let rows = rows(&table);
+        assert_eq!(rows.len(), params.sparsity_levels.len() * 2);
+        for row in &rows {
+            match row[1].as_str() {
+                "amf-enhanced" => assert_eq!(row[2..], ["0.0000"; 3], "{row:?}"),
+                "amf" => assert_ne!(row[2], "0.0000", "plain AMF shorted no job: {row:?}"),
+                other => panic!("unexpected policy {other}"),
+            }
+        }
     }
 }

@@ -1,7 +1,6 @@
 //! Command implementations.
 
 use crate::args::{AuditParams, GenParams, SimulateParams, SolveParams};
-use amf_core::properties::{is_envy_free, is_pareto_efficient, satisfies_sharing_incentive};
 use amf_core::{
     AllocationPolicy, AmfSolver, EqualDivision, Instance, PerSiteMaxMin, ProportionalToDemand,
 };
@@ -144,6 +143,7 @@ pub fn simulate_cmd(p: &SimulateParams, stdin: &str) -> Result<String, String> {
         return Err("--jct-addon only supports the fluid engine, not --engine slots".into());
     }
     let trace = read_trace(stdin)?;
+    amf_sim::check_trace(&trace, p.engine == "slots")?;
     let split = if p.jct_addon {
         SplitStrategy::BalancedProgress { repair_rounds: 4 }
     } else {
@@ -207,9 +207,9 @@ pub fn check(stdin: &str) -> Result<String, String> {
         out.push_str(&format!(
             "{name}: feasible={} pareto_efficient={} envy_free={} sharing_incentive={}\n",
             alloc.is_feasible(&inst),
-            is_pareto_efficient(&inst, &alloc),
-            is_envy_free(&inst, &alloc),
-            satisfies_sharing_incentive(&inst, &alloc),
+            amf_audit::pareto_cert(&inst, &alloc).is_proved(),
+            amf_audit::envy_cert(&inst, &alloc).is_proved(),
+            amf_audit::si_cert(&inst, &alloc).is_proved(),
         ));
     }
     Ok(out)

@@ -133,6 +133,39 @@ mod tests {
     }
 
     #[test]
+    fn simulate_refuses_sub_slot_demand_on_the_slot_engine() {
+        // A demand of half a slot never rounds up to a slot: the slot
+        // engine must refuse the trace, not report it unfinished.
+        let trace = r#"{"capacities":[4],"jobs":[{"arrival":0,"work":[2],"demand":[0.5]}]}"#;
+        let err = run(&sv(&["simulate", "--engine", "slots"]), trace).unwrap_err();
+        assert_eq!(
+            err,
+            "job 0: work at site 0 but demand 0.5 is below one slot — \
+             it could never run on the slot engine"
+        );
+        // The fluid engine runs the job at rate 0.5 and finishes it at t = 4.
+        let fluid = run(&sv(&["simulate"]), trace).unwrap();
+        assert!(fluid.contains("jobs finished = 1/1"), "{fluid}");
+        assert!(fluid.contains("makespan = 4.00"), "{fluid}");
+    }
+
+    #[test]
+    fn simulate_refuses_work_without_demand_on_both_engines() {
+        let trace = r#"{"capacities":[4,4],"jobs":[
+            {"arrival":0,"work":[2,0],"demand":[1,1]},
+            {"arrival":0,"work":[1,3],"demand":[2,0]}]}"#;
+        for engine in ["fluid", "slots"] {
+            let err = run(&sv(&["simulate", "--engine", engine]), trace).unwrap_err();
+            assert_eq!(
+                err, "job 1: work at site 1 but zero demand — it could never run",
+                "{engine}"
+            );
+        }
+        let err = run(&sv(&["simulate", "--policy", "srpt-per-site"]), trace).unwrap_err();
+        assert!(err.contains("zero demand"), "{err}");
+    }
+
+    #[test]
     fn solve_rejects_garbage_input() {
         assert!(run(&sv(&["solve"]), "{nope").is_err());
     }

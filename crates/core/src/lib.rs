@@ -77,7 +77,7 @@ pub use dot::to_dot;
 pub use incremental::{Delta, DeltaError, IncrementalAmf, JobId};
 pub use model::{Allocation, Instance, ModelError};
 pub use parallel::par_map_init;
-pub use policy::{AllocationPolicy, PooledAmf};
+pub use policy::AllocationPolicy;
 pub use reference::{reference_aggregates, MAX_REFERENCE_JOBS};
 pub use solver::{
     AmfSolver, FairnessMode, FreezeReason, FreezeRound, SolveOutput, SolveStats, SolverPool,

@@ -46,46 +46,6 @@ impl<S: Scalar> AllocationPolicy<S> for AmfSolver {
     }
 }
 
-/// An [`AmfSolver`] bundled with a persistent [`SolverPool`], so repeated
-/// policy invocations (the simulator re-solves on every scheduling event)
-/// reuse the flow-kernel arena and per-round buffers instead of
-/// reallocating them per call.
-///
-/// The pool sits behind a [`Mutex`](std::sync::Mutex) because
-/// [`AllocationPolicy::allocate`] takes `&self`; the simulator drives a
-/// policy from one thread at a time, so the lock is uncontended there.
-/// Results are identical to the bare solver's.
-pub struct PooledAmf<S: Scalar> {
-    solver: AmfSolver,
-    pool: std::sync::Mutex<SolverPool<S>>,
-}
-
-impl<S: Scalar> PooledAmf<S> {
-    /// Wrap `solver` with a fresh buffer pool.
-    pub fn new(solver: AmfSolver) -> Self {
-        PooledAmf {
-            solver,
-            pool: std::sync::Mutex::new(SolverPool::new()),
-        }
-    }
-
-    /// The wrapped solver configuration.
-    pub fn solver(&self) -> AmfSolver {
-        self.solver
-    }
-}
-
-impl<S: Scalar> AllocationPolicy<S> for PooledAmf<S> {
-    fn name(&self) -> &'static str {
-        AllocationPolicy::<S>::name(&self.solver)
-    }
-
-    fn allocate(&self, inst: &Instance<S>) -> Allocation<S> {
-        let mut pool = self.pool.lock().expect("solver pool poisoned");
-        self.solver.solve_with_pool(inst, &mut pool).allocation
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,21 +59,6 @@ mod tests {
         let alloc = policy.allocate(&inst);
         assert!((alloc.aggregate(0) - 2.0).abs() < 1e-9);
         let enhanced: &dyn AllocationPolicy<f64> = &AmfSolver::enhanced();
-        assert_eq!(enhanced.name(), "amf-enhanced");
-    }
-
-    #[test]
-    fn pooled_amf_matches_bare_solver() {
-        let inst = Instance::new(vec![6.0, 2.0], vec![vec![6.0, 0.0], vec![6.0, 2.0]]).unwrap();
-        let pooled = PooledAmf::<f64>::new(AmfSolver::new());
-        assert_eq!(pooled.name(), "amf");
-        // Repeated invocations through the same pool stay correct.
-        for _ in 0..3 {
-            let a = pooled.allocate(&inst);
-            let b = AmfSolver::new().allocate(&inst);
-            assert_eq!(a.aggregates(), b.aggregates());
-        }
-        let enhanced = PooledAmf::<f64>::new(AmfSolver::enhanced());
         assert_eq!(enhanced.name(), "amf-enhanced");
     }
 

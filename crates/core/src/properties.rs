@@ -1,83 +1,18 @@
-//! Checkers for the fairness properties the paper analyzes.
+//! Leximin order and the strategy-proofness probe.
 //!
 //! The abstract states: *"AMF satisfies the properties of Pareto
 //! efficiency, envy-freeness and strategy-proofness, but it does not
-//! necessarily satisfy the sharing incentive property."* These checkers
-//! verify each property on a concrete `(instance, allocation)` pair, and a
-//! harness probes strategy-proofness empirically by re-solving under
-//! misreported demands. Exact verification uses the
+//! necessarily satisfy the sharing incentive property."* Pareto efficiency,
+//! envy-freeness and sharing incentive are certified per allocation by
+//! `amf-audit` (`pareto_cert`, `envy_cert`, `si_cert`). This module holds
+//! what a single allocation cannot show: the leximin comparison of two
+//! aggregate vectors, and a harness that probes strategy-proofness by
+//! re-solving under misreported demands. Exact verification uses the
 //! [`Rational`](amf_numeric::Rational) scalar.
 
-use crate::model::{Allocation, Instance};
+use crate::model::Instance;
 use crate::policy::AllocationPolicy;
-use amf_flow::AllocationNetwork;
 use amf_numeric::{min2, sum, Scalar};
-
-/// **Pareto efficiency**: no feasible allocation gives some job a strictly
-/// larger aggregate without giving any job a smaller one.
-///
-/// Flow argument: load the allocation into the network with every job's
-/// source cap at its total demand, then try to augment. An augmenting path
-/// increases one job's aggregate and *reroutes* (never decreases) the
-/// aggregates of jobs it passes through, so a Pareto improvement exists iff
-/// the preloaded flow is not maximum.
-pub fn is_pareto_efficient<S: Scalar>(inst: &Instance<S>, alloc: &Allocation<S>) -> bool {
-    assert_eq!(alloc.n_jobs(), inst.n_jobs(), "allocation/job mismatch");
-    let mut net = AllocationNetwork::new(inst.demands(), inst.capacities());
-    for j in 0..inst.n_jobs() {
-        net.set_job_cap(j, inst.total_demand(j));
-    }
-    net.preload_split(alloc.split());
-    let before = net.total_flow();
-    let after = net.run_max_flow();
-    !(after - before).is_positive()
-}
-
-/// **Envy-freeness**: no job prefers another job's bundle, where job `j`
-/// values a bundle `y` at `Σ_s min(y_s, d[j][s])` (resource beyond its
-/// demand cap at a site is useless to it). With weights, envy compares
-/// normalized values: `j` envies `k` iff
-/// `value_j(x_k) / w_k > A_j / w_j`.
-pub fn is_envy_free<S: Scalar>(inst: &Instance<S>, alloc: &Allocation<S>) -> bool {
-    let n = inst.n_jobs();
-    for j in 0..n {
-        let own = alloc.aggregate(j) / inst.weight(j);
-        for k in 0..n {
-            if j == k {
-                continue;
-            }
-            let value = sum((0..inst.n_sites()).map(|s| min2(alloc.at(k, s), inst.demand(j, s))))
-                / inst.weight(k);
-            if value.definitely_gt(own) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// **Sharing incentive**: every job's aggregate is at least its equal share
-/// `e_j = Σ_s min(d[j][s], c_s/n)`.
-pub fn satisfies_sharing_incentive<S: Scalar>(inst: &Instance<S>, alloc: &Allocation<S>) -> bool {
-    (0..inst.n_jobs()).all(|j| !alloc.aggregate(j).definitely_lt(inst.equal_share(j)))
-}
-
-/// The per-job sharing-incentive shortfall `max(0, e_j - A_j)`.
-pub fn sharing_incentive_shortfalls<S: Scalar>(
-    inst: &Instance<S>,
-    alloc: &Allocation<S>,
-) -> Vec<S> {
-    (0..inst.n_jobs())
-        .map(|j| {
-            let gap = inst.equal_share(j) - alloc.aggregate(j);
-            if gap.is_positive() {
-                gap
-            } else {
-                S::ZERO
-            }
-        })
-        .collect()
-}
 
 /// Compare two allocation vectors in the max-min (leximin) order:
 /// sort both ascending and compare lexicographically. Returns
@@ -98,18 +33,6 @@ pub fn leximin_cmp<S: Scalar>(a: &[S], b: &[S]) -> std::cmp::Ordering {
         }
     }
     std::cmp::Ordering::Equal
-}
-
-/// Verify that `alloc` *is* the AMF allocation of `inst`: feasible, and
-/// its aggregate vector equals the solver's (the AMF aggregate vector is
-/// unique, so this is a complete check). Use with the
-/// [`Rational`](amf_numeric::Rational) scalar for an exact certificate.
-pub fn is_amf<S: Scalar>(inst: &Instance<S>, alloc: &Allocation<S>) -> bool {
-    if !alloc.is_feasible(inst) {
-        return false;
-    }
-    let reference = crate::solver::AmfSolver::new().solve(inst).allocation;
-    (0..inst.n_jobs()).all(|j| alloc.aggregate(j).approx_eq(reference.aggregate(j)))
 }
 
 /// Result of one strategy-proofness probe.
@@ -157,7 +80,7 @@ pub fn probe_strategy_proofness<S: Scalar, P: AllocationPolicy<S> + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::{EqualDivision, PerSiteMaxMin};
+    use crate::baselines::PerSiteMaxMin;
     use crate::solver::AmfSolver;
     use amf_numeric::Rational;
     use rand::rngs::StdRng;
@@ -180,79 +103,6 @@ mod tests {
             vec![vec![ri(5), ri(5)], vec![ri(0), ri(10)]],
         )
         .unwrap()
-    }
-
-    #[test]
-    fn plain_amf_can_violate_sharing_incentive() {
-        let inst = si_violation_instance();
-        let out = AmfSolver::new().solve(&inst);
-        assert_eq!(out.allocation.aggregate(0), r(15, 2));
-        assert_eq!(inst.equal_share(0), ri(10));
-        assert!(!satisfies_sharing_incentive(&inst, &out.allocation));
-        let shortfalls = sharing_incentive_shortfalls(&inst, &out.allocation);
-        assert_eq!(shortfalls[0], r(5, 2));
-        assert_eq!(shortfalls[1], Rational::ZERO);
-    }
-
-    #[test]
-    fn enhanced_amf_repairs_the_violation() {
-        let inst = si_violation_instance();
-        let out = AmfSolver::enhanced().solve(&inst);
-        assert!(satisfies_sharing_incentive(&inst, &out.allocation));
-        assert_eq!(out.allocation.aggregate(0), ri(10));
-        assert_eq!(out.allocation.aggregate(1), ri(5));
-        // The repaired allocation is still Pareto efficient and feasible.
-        assert!(out.allocation.is_feasible(&inst));
-        assert!(is_pareto_efficient(&inst, &out.allocation));
-    }
-
-    #[test]
-    fn amf_is_pareto_efficient_and_envy_free_on_random_instances() {
-        let mut rng = StdRng::seed_from_u64(99);
-        for _ in 0..40 {
-            let n = rng.gen_range(1..6usize);
-            let m = rng.gen_range(1..4usize);
-            let inst = Instance::new(
-                (0..m).map(|_| ri(rng.gen_range(0..12))).collect(),
-                (0..n)
-                    .map(|_| (0..m).map(|_| ri(rng.gen_range(0..10))).collect())
-                    .collect(),
-            )
-            .unwrap();
-            let out = AmfSolver::new().solve(&inst);
-            assert!(out.allocation.is_feasible(&inst));
-            assert!(is_pareto_efficient(&inst, &out.allocation));
-            assert!(is_envy_free(&inst, &out.allocation));
-        }
-    }
-
-    #[test]
-    fn equal_division_satisfies_si_but_not_pareto() {
-        // One site of capacity 10: job A demands 4 (below its 5-slice),
-        // job B demands 10. Equal division leaves 1 unit idle that B could
-        // use, so it is not Pareto efficient.
-        let inst = Instance::new(vec![ri(10)], vec![vec![ri(4)], vec![ri(10)]]).unwrap();
-        let alloc = EqualDivision.allocate(&inst);
-        assert!(satisfies_sharing_incentive(&inst, &alloc));
-        assert_eq!(alloc.aggregate(0), ri(4));
-        assert_eq!(alloc.aggregate(1), ri(5));
-        assert!(!is_pareto_efficient(&inst, &alloc));
-    }
-
-    #[test]
-    fn per_site_max_min_is_pareto_but_aggregate_unbalanced() {
-        let inst = Instance::new(
-            vec![ri(6), ri(2)],
-            vec![vec![ri(6), ri(0)], vec![ri(6), ri(2)]],
-        )
-        .unwrap();
-        let alloc = PerSiteMaxMin.allocate(&inst);
-        assert!(is_pareto_efficient(&inst, &alloc));
-        // Aggregates (3, 5) — job 0 "envies" nothing it can use more of, so
-        // envy-freeness still holds here; imbalance is the metric that
-        // separates PSMF from AMF (experiment E1).
-        assert_eq!(alloc.aggregate(0), ri(3));
-        assert_eq!(alloc.aggregate(1), ri(5));
     }
 
     #[test]
@@ -304,28 +154,6 @@ mod tests {
             let probe = probe_strategy_proofness(&inst, liar, lie, &solver);
             assert!(!probe.lie_helped());
         }
-    }
-
-    #[test]
-    fn is_amf_accepts_any_valid_split_and_rejects_others() {
-        let inst = Instance::new(
-            vec![ri(6), ri(2)],
-            vec![vec![ri(6), ri(0)], vec![ri(6), ri(2)]],
-        )
-        .unwrap();
-        // The solver's own output verifies.
-        let solved = AmfSolver::new().allocate(&inst);
-        assert!(is_amf(&inst, &solved));
-        // A *different* split with the same aggregates also verifies.
-        let alt =
-            crate::model::Allocation::from_split(vec![vec![ri(4), ri(0)], vec![ri(2), ri(2)]]);
-        assert!(is_amf(&inst, &alt));
-        // The per-site baseline's aggregates (3, 5) do not.
-        assert!(!is_amf(&inst, &PerSiteMaxMin.allocate(&inst)));
-        // An infeasible matrix does not.
-        let bad =
-            crate::model::Allocation::from_split(vec![vec![ri(7), ri(0)], vec![ri(1), ri(2)]]);
-        assert!(!is_amf(&inst, &bad));
     }
 
     #[test]

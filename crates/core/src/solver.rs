@@ -696,7 +696,7 @@ impl AmfSolver {
                     stats.dinkelbach_iterations += 1;
                     stats.max_flows += 1;
                     let (flow, target) = check_level(&mut net, &caps, cur, t, &mut stats, us);
-                    if close_rel(flow, target) {
+                    if flow.approx_eq_rel(target) {
                         at_t_star = true;
                         break t;
                     }
@@ -752,7 +752,7 @@ impl AmfSolver {
                     stats.max_flows += 1;
                     let (flow, target) = check_level(&mut net, &caps, cur, t_star, &mut stats, us);
                     debug_assert!(
-                        close_rel(flow, target),
+                        flow.approx_eq_rel(target),
                         "level t*={t_star} must be feasible (flow {flow}, target {target})"
                     );
                 }
@@ -928,10 +928,9 @@ impl AmfSolver {
             "solver emitted an infeasible allocation"
         );
         debug_assert!(
-            close_rel(
-                allocation.total(),
-                sum(frozen.iter().map(|a| a.expect("all jobs frozen")))
-            ),
+            allocation
+                .total()
+                .approx_eq_rel(sum(frozen.iter().map(|a| a.expect("all jobs frozen")))),
             "committed split does not realize the frozen aggregates"
         );
         #[cfg(debug_assertions)]
@@ -1056,16 +1055,8 @@ fn residual_budget_agrees<S: Scalar>(
 ) -> bool {
     act_sites.iter().enumerate().all(|(k, &s)| {
         let committed = sum(split.iter().map(|row| row[s]));
-        close_rel(cur_caps[k] + committed, inst.capacity(s))
+        (cur_caps[k] + committed).approx_eq_rel(inst.capacity(s))
     })
-}
-
-/// Relative-tolerance equality used for flow-vs-target comparisons, where
-/// both sides are sums over up to `n` jobs. Exact types compare exactly.
-pub(crate) fn close_rel<S: Scalar>(a: S, b: S) -> bool {
-    let diff = if a > b { a - b } else { b - a };
-    let scale = S::ONE + max2(a, b);
-    !(diff > S::eps() * scale)
 }
 
 #[cfg(test)]

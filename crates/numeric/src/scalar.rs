@@ -70,6 +70,19 @@ pub trait Scalar:
         !(d > Self::eps())
     }
 
+    /// `|self - other| <= eps * (1 + max(self, other))`: equality with a
+    /// tolerance that grows with the larger side, for sums over many terms
+    /// (flow against its target, a set's aggregates against its rank).
+    /// Exact types compare exactly.
+    fn approx_eq_rel(self, other: Self) -> bool {
+        let (hi, lo) = if self > other {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        !(hi - lo > Self::eps() * (Self::ONE + hi))
+    }
+
     /// `self > other + eps` — strictly greater beyond tolerance.
     fn definitely_gt(self, other: Self) -> bool {
         self > other + Self::eps()
@@ -191,5 +204,15 @@ mod tests {
         assert!((1.0f64 + 1e-6).definitely_gt(1.0));
         assert!(!(1.0f64 - 1e-12).definitely_lt(1.0));
         assert!((1.0f64 - 1e-6).definitely_lt(1.0));
+    }
+
+    #[test]
+    fn relative_equality_scales_with_the_larger_side() {
+        // At 1e6 the tolerance is about 1e-3, in either order; near 0 it is eps.
+        assert!(1e6f64.approx_eq_rel(1e6 + 5e-4) && (1e6f64 + 5e-4).approx_eq_rel(1e6));
+        assert!(!1e6f64.approx_eq_rel(1e6 + 2e-3) && !1e6f64.approx_eq(1e6 + 5e-4));
+        assert!(0.0f64.approx_eq_rel(5e-10) && !0.0f64.approx_eq_rel(2e-9));
+        let big = Rational::from_int(1_000_000);
+        assert!(!big.approx_eq_rel(big + Rational::new(1, 1_000_000)));
     }
 }

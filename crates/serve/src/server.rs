@@ -127,6 +127,8 @@ struct Shared<S> {
     counters: Counters,
     /// Per-operation latency histograms (microseconds, log-spaced buckets).
     latency: Mutex<Vec<Histogram>>,
+    /// Connection threads; a closed one's handle is dropped at the next
+    /// accept, the rest are joined by [`Server::join`].
     conns: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Fault injection: a `Solve` for this tenant panics holding its lock.
     #[cfg(test)]
@@ -578,11 +580,12 @@ impl<S: WireScalar> Server<S> {
                             .name("amf-serve-conn".to_string())
                             .spawn(move || serve_conn(&conn_shared, stream))
                             .expect("spawn connection thread");
-                        shared
-                            .conns
-                            .lock()
-                            .expect("conns lock poisoned")
-                            .push(handle);
+                        let mut conns = shared.conns.lock().expect("conns lock poisoned");
+                        // Drop the handles of closed connections, so the
+                        // list (and the exited threads' stacks) stays
+                        // bounded by the live connections.
+                        conns.retain(|h| !h.is_finished());
+                        conns.push(handle);
                     }
                 })
                 .expect("spawn listener thread")
@@ -632,6 +635,7 @@ impl<S: WireScalar> Server<S> {
 mod tests {
     use super::*;
     use crate::client::{ClientError, ServeClient, SolveReply};
+    use std::thread::JoinHandle;
 
     const PANICKED: (ErrorKind, &str) = (ErrorKind::Internal, "internal_panic");
     const QUARANTINED: (ErrorKind, &str) = (ErrorKind::Internal, "quarantined");
@@ -668,6 +672,38 @@ mod tests {
             assert!(Instant::now() < deadline, "never {n} in flight: {stats:?}");
             std::thread::sleep(Duration::from_millis(5));
         }
+    }
+
+    /// Poll the connection list until `done` holds; returns its length.
+    fn wait_for_conns(server: &Server<f64>, done: impl Fn(&[JoinHandle<()>]) -> bool) -> usize {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let conns = server.shared.conns.lock().expect("conns lock");
+            if done(&conns) {
+                return conns.len();
+            }
+            drop(conns);
+            assert!(Instant::now() < deadline, "connection list never settled");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn closed_connections_are_reaped_at_the_next_accept() {
+        let server = Server::<f64>::bind(ServeConfig::default()).expect("bind");
+        for _ in 0..20 {
+            let mut client = ServeClient::connect(server.addr()).expect("connect");
+            client.stats().expect("stats");
+        }
+        wait_for_conns(&server, |conns| conns.iter().all(|h| h.is_finished()));
+        // The next accept drops the 20 finished handles before it pushes
+        // its own (one lock), so once a live handle shows up it is alone.
+        let mut live = ServeClient::connect(server.addr()).expect("connect");
+        live.stats().expect("stats");
+        let live_only = |conns: &[JoinHandle<()>]| conns.iter().any(|h| !h.is_finished());
+        assert_eq!(wait_for_conns(&server, live_only), 1);
+        live.shutdown().expect("shutdown");
+        server.join();
     }
 
     #[test]

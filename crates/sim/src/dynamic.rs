@@ -8,7 +8,6 @@
 //! starves large jobs, bracketing the fair policies from the other side
 //! than equal division does.
 
-use crate::split::balanced_progress_split;
 use amf_core::{Allocation, AllocationPolicy, Delta, Instance, SolveStats};
 use amf_numeric::KahanSum;
 
@@ -123,41 +122,6 @@ impl DynamicPolicy for SrptPerSite {
     }
 }
 
-/// Fair-aggregate SRPT hybrid: compute AMF aggregates, then split each
-/// aggregate with the work-proportional JCT add-on — the dynamic form of
-/// the `BalancedProgress` strategy, packaged as a policy so it composes
-/// with [`simulate_dynamic`](crate::simulate_dynamic).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AmfBalanced {
-    /// Repair rounds passed to the split optimizer.
-    pub repair_rounds: usize,
-}
-
-impl AmfBalanced {
-    /// Default 4 repair rounds (see the ablation bench).
-    pub fn new() -> Self {
-        AmfBalanced { repair_rounds: 4 }
-    }
-}
-
-impl DynamicPolicy for AmfBalanced {
-    fn name(&self) -> &'static str {
-        "amf-balanced"
-    }
-
-    fn allocate_dynamic(&self, inst: &Instance<f64>, remaining: &[Vec<f64>]) -> Allocation<f64> {
-        let aggregates = amf_core::AmfSolver::new().solve(inst).allocation;
-        let split = balanced_progress_split(
-            inst.capacities(),
-            inst.demands(),
-            aggregates.aggregates(),
-            remaining,
-            self.repair_rounds,
-        );
-        Allocation::from_split(split)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,17 +158,5 @@ mod tests {
         let a = SrptPerSite.allocate_dynamic(&inst, &[vec![1.0], vec![2.0]]);
         assert_eq!(a.aggregate(0), 3.0);
         assert_eq!(a.aggregate(1), 7.0);
-    }
-
-    #[test]
-    fn amf_balanced_preserves_fair_aggregates() {
-        let inst = Instance::new(vec![6.0, 6.0], vec![vec![6.0, 6.0], vec![6.0, 6.0]]).unwrap();
-        let remaining = vec![vec![10.0, 1.0], vec![1.0, 10.0]];
-        let a = AmfBalanced::new().allocate_dynamic(&inst, &remaining);
-        assert!((a.aggregate(0) - 6.0).abs() < 1e-6);
-        assert!((a.aggregate(1) - 6.0).abs() < 1e-6);
-        // Splits lean toward the work: job 0 mostly site 0.
-        assert!(a.at(0, 0) > a.at(0, 1));
-        assert!(a.at(1, 1) > a.at(1, 0));
     }
 }

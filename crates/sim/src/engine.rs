@@ -132,6 +132,53 @@ pub(crate) fn advance_and_retire(
     }
 }
 
+/// Check one job's rows against `m` sites: one entry per site, none
+/// negative, and a demand above zero wherever there is work — with
+/// `slots` (the slot engine), a demand of at least one slot, since a job
+/// never holds more than `floor(demand)` slots at a site.
+pub(crate) fn check_job(work: &[f64], demand: &[f64], m: usize, slots: bool) -> Result<(), String> {
+    if work.len() != m {
+        return Err("work row length != site count".into());
+    }
+    if demand.len() != m {
+        return Err("demand row length != site count".into());
+    }
+    for (s, (&w, &d)) in work.iter().zip(demand).enumerate() {
+        if !(w >= 0.0 && d >= 0.0) {
+            return Err(format!("negative entry at site {s}"));
+        }
+        if w > 0.0 && d <= 0.0 {
+            return Err(format!(
+                "work at site {s} but zero demand — it could never run"
+            ));
+        }
+        if w > 0.0 && slots && d < 1.0 {
+            return Err(format!(
+                "work at site {s} but demand {d} is below one slot — \
+                 it could never run on the slot engine"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Check that every job of `trace` can run (see [`simulate`]'s panics);
+/// `slots` adds the slot engine's rule that a portion with work needs a
+/// demand of at least one slot
+/// ([`simulate_slots`](crate::slots::simulate_slots)). The engines panic
+/// on a trace this refuses; a caller that reads traces from users checks
+/// them here first.
+///
+/// # Errors
+/// Returns a message naming the first offending job and site.
+pub fn check_trace(trace: &Trace, slots: bool) -> Result<(), String> {
+    let m = trace.capacities.len();
+    for (i, job) in trace.jobs.iter().enumerate() {
+        check_job(&job.work, &job.demand, m, slots).map_err(|e| format!("job {i}: {e}"))?;
+    }
+    Ok(())
+}
+
 /// Simulate `trace` under a static `policy`. Jobs arrive per the trace,
 /// receive rates from the policy at every scheduling event, and complete
 /// when all their per-site portions are done.
@@ -299,11 +346,10 @@ pub fn simulate_incremental_with_stats(
 /// Simulate many traces in parallel, one policy instance per worker
 /// thread, returning reports in trace order.
 ///
-/// `make_policy` is invoked once per worker, so stateful policies (e.g.
-/// [`PooledAmf`](amf_core::PooledAmf), whose buffer pool sits behind a
-/// mutex) never contend across threads. Each trace is still simulated by
-/// exactly one worker, so results are identical to calling [`simulate`]
-/// sequentially with any single instance of the same policy.
+/// `make_policy` is invoked once per worker, so a stateful policy never
+/// contends across threads. Each trace is still simulated by exactly one
+/// worker, with its own solver pool, so results are identical to calling
+/// [`simulate`] sequentially with any single instance of the same policy.
 ///
 /// With one trace or one available core this degenerates to the
 /// sequential loop (no threads spawned).
@@ -379,25 +425,10 @@ pub(crate) fn run_engine(
         quantum.is_none_or(|q| q > 0.0 && q.is_finite()),
         "reallocation quantum must be positive"
     );
-    let m = trace.capacities.len();
-    for (i, job) in trace.jobs.iter().enumerate() {
-        assert_eq!(job.work.len(), m, "job {i}: work row length != site count");
-        assert_eq!(
-            job.demand.len(),
-            m,
-            "job {i}: demand row length != site count"
-        );
-        for s in 0..m {
-            assert!(
-                job.work[s] >= 0.0 && job.demand[s] >= 0.0,
-                "job {i}: negative entry"
-            );
-            assert!(
-                job.work[s] <= 0.0 || job.demand[s] > 0.0,
-                "job {i}: work at site {s} but zero demand — it could never run"
-            );
-        }
+    if let Err(e) = check_trace(trace, false) {
+        panic!("{e}");
     }
+    let m = trace.capacities.len();
     for (i, ev) in capacity_events.iter().enumerate() {
         assert!(ev.site < m, "capacity event {i}: site out of range");
         assert!(
@@ -662,11 +693,7 @@ mod tests {
             })
             .collect();
         let config = SimConfig::default();
-        let many = simulate_many(
-            &traces,
-            || Box::new(amf_core::PooledAmf::<f64>::new(AmfSolver::new())),
-            &config,
-        );
+        let many = simulate_many(&traces, || Box::new(AmfSolver::new()), &config);
         assert_eq!(many.len(), traces.len());
         let solver = AmfSolver::new();
         for (trace, parallel) in traces.iter().zip(&many) {
@@ -808,6 +835,28 @@ mod tests {
         let report = simulate(&trace, &AmfSolver::new(), &SimConfig::default());
         assert!(!report.all_finished());
         assert_eq!(report.jobs[0].completion, None);
+    }
+
+    #[test]
+    fn check_trace_applies_the_slot_rule_only_to_the_slot_engine() {
+        // A zero-work portion may carry any demand; job 1's portion at
+        // site 1 is the first that cannot get a slot.
+        let trace = batch_trace(
+            vec![4.0, 4.0],
+            vec![
+                (vec![2.0, 0.0], vec![1.0, 0.25]),
+                (vec![1.0, 3.0], vec![2.0, 0.75]),
+            ],
+        );
+        assert_eq!(check_trace(&trace, false), Ok(()));
+        let err = check_trace(&trace, true).unwrap_err();
+        assert!(
+            err.starts_with("job 1: work at site 1 but demand 0.75"),
+            "{err}"
+        );
+        let negative = batch_trace(vec![4.0], vec![(vec![1.0], vec![-1.0])]);
+        let want = "job 0: negative entry at site 0";
+        assert_eq!(check_trace(&negative, true), Err(want.into()));
     }
 
     #[test]
@@ -1334,23 +1383,19 @@ mod tests {
     }
 
     #[test]
-    fn amf_balanced_without_a_session_matches_the_offline_loop_under_events() {
-        // AmfBalanced opens no session, so the hook's fallback calls its
-        // `allocate_dynamic` at every event; with capacity events and
-        // quantized rounds it must still run exactly as the offline loop
-        // with the BalancedProgress split over plain AMF.
+    fn a_policy_without_a_session_matches_the_offline_loop_under_events() {
+        // Plain AMF opens no session (the blanket `DynamicPolicy`), so the
+        // hook's fallback calls its `allocate_dynamic` at every event; with
+        // capacity events and quantized rounds it must still run exactly
+        // as the offline loop with the policy's own split.
         let (trace, events) = online_trace();
         for quantum in [None, Some(0.75)] {
             let config = SimConfig {
-                split: SplitStrategy::BalancedProgress { repair_rounds: 4 },
+                split: SplitStrategy::PolicySplit,
                 reallocation_quantum: quantum,
             };
-            let (report, stats) = simulate_incremental_with_stats(
-                &trace,
-                &crate::AmfBalanced::new(),
-                &config,
-                &events,
-            );
+            let (report, stats) =
+                simulate_incremental_with_stats(&trace, &AmfSolver::new(), &config, &events);
             let base = simulate_with_capacity_events(&trace, &AmfSolver::new(), &config, &events);
             assert_eq!(
                 stats,

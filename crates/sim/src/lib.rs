@@ -47,9 +47,9 @@ pub mod slots;
 pub mod split;
 pub mod tasks;
 
-pub use dynamic::{AmfBalanced, DynamicPolicy, IncrementalSession, SessionCtx, SrptPerSite};
+pub use dynamic::{DynamicPolicy, IncrementalSession, SessionCtx, SrptPerSite};
 pub use engine::{
-    simulate, simulate_dynamic, simulate_incremental_with_stats, simulate_many,
+    check_trace, simulate, simulate_dynamic, simulate_incremental_with_stats, simulate_many,
     simulate_with_capacity_events, CapacityEvent, EventLoopStats, SimConfig,
 };
 pub use report::{JobOutcome, SimReport};

@@ -28,7 +28,7 @@
 //! their fluid semantics and tolerances; the tests cross-check them.
 
 use crate::dynamic::DynamicPolicy;
-use crate::engine::{advance_and_retire, next_completion, ActiveJob, Progress};
+use crate::engine::{advance_and_retire, check_job, next_completion, ActiveJob, Progress};
 use amf_core::Instance;
 
 /// Identifier of a submitted job (dense, starting at 0).
@@ -127,18 +127,8 @@ impl Scheduler {
     /// Panics on malformed rows (wrong length, negatives, work without
     /// demand).
     pub fn submit(&mut self, work: Vec<f64>, demand: Vec<f64>) -> JobId {
-        let m = self.capacities.len();
-        assert_eq!(work.len(), m, "work row length != site count");
-        assert_eq!(demand.len(), m, "demand row length != site count");
-        for s in 0..m {
-            assert!(
-                work[s] >= 0.0 && demand[s] >= 0.0,
-                "negative entry at site {s}"
-            );
-            assert!(
-                work[s] <= 0.0 || demand[s] > 0.0,
-                "work at site {s} but zero demand"
-            );
+        if let Err(e) = check_job(&work, &demand, self.capacities.len(), false) {
+            panic!("{e}");
         }
         let id = JobId(self.jobs.len());
         let admitted = ActiveJob::admit(id.0, work, demand);

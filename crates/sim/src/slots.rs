@@ -53,11 +53,19 @@ pub fn largest_remainder_round(
 
 /// Simulate with integral slot allocations (same contract as
 /// [`crate::simulate`]): the fluid engine, with each reallocation's
-/// allocation rounded site by site by [`largest_remainder_round`].
+/// allocation rounded site by site by [`largest_remainder_round`]. A site
+/// runs `floor(capacity)` slots.
 ///
 /// # Panics
-/// Panics on malformed traces (see [`crate::simulate`]).
+/// Panics on malformed traces (see [`crate::simulate`]), and on work at a
+/// site where the job's demand is below one slot: rounding never gives
+/// such a job a slot there, so it could never finish. The message names
+/// the job and the site; [`check_trace`](crate::check_trace) with `slots`
+/// returns it as an error instead.
 pub fn simulate_slots(trace: &Trace, policy: &dyn AllocationPolicy<f64>) -> SimReport {
+    if let Err(e) = crate::check_trace(trace, true) {
+        panic!("{e}");
+    }
     run_engine(trace, &[], None, &mut |ctx: &RateCtx<'_>| {
         let fluid = policy.allocate(&ctx.instance());
         let n = ctx.demands.len();
@@ -101,6 +109,21 @@ mod tests {
         assert!(slots[0] <= 1.0);
         let total: f64 = slots.iter().sum();
         assert!(total <= 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 1: work at site 0 but demand 0.5 is below one slot")]
+    fn sub_slot_demand_rejected() {
+        let job = |demand: f64| TraceJob {
+            arrival: 0.0,
+            work: vec![2.0],
+            demand: vec![demand],
+        };
+        let trace = Trace {
+            capacities: vec![4.0],
+            jobs: vec![job(1.0), job(0.5)],
+        };
+        simulate_slots(&trace, &AmfSolver::new());
     }
 
     #[test]

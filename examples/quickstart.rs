@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use amf::core::properties::{is_envy_free, is_pareto_efficient, satisfies_sharing_incentive};
+use amf::audit::{envy_cert, pareto_cert, si_cert};
 use amf::core::{AllocationPolicy, AmfSolver, Instance, PerSiteMaxMin};
 
 fn main() {
@@ -30,12 +30,16 @@ fn main() {
     println!("AMF aggregates:              {:?}", amf.aggregates());
     println!("AMF split matrix:            {:?}", amf.split());
 
-    // The properties the paper proves for AMF.
-    println!("pareto efficient:  {}", is_pareto_efficient(&inst, &amf));
-    println!("envy free:         {}", is_envy_free(&inst, &amf));
+    // The properties the paper proves for AMF, each certified by the
+    // auditor with a witness or a counterexample.
+    println!(
+        "pareto efficient:  {}",
+        pareto_cert(&inst, &amf).is_proved()
+    );
+    println!("envy free:         {}", envy_cert(&inst, &amf).is_proved());
     println!(
         "sharing incentive: {} (not guaranteed for plain AMF!)",
-        satisfies_sharing_incentive(&inst, &amf)
+        si_cert(&inst, &amf).is_proved()
     );
 
     // Enhanced AMF guarantees the sharing incentive property.
@@ -43,6 +47,6 @@ fn main() {
     println!(
         "enhanced AMF aggregates: {:?} (sharing incentive: {})",
         enhanced.aggregates(),
-        satisfies_sharing_incentive(&inst, &enhanced)
+        si_cert(&inst, &enhanced).is_proved()
     );
 }

@@ -26,10 +26,12 @@
 //!
 //! See the member crates for details:
 //!
-//! * [`core`] — the model, the AMF solvers and baselines, property
-//!   checkers ([`amf_core`]);
+//! * [`core`] — the model, the AMF solvers and baselines, the leximin
+//!   order and the strategy-proofness probe ([`amf_core`]);
 //! * [`audit`] — the certificate-based allocation auditor: re-verifies
-//!   any allocation with machine-checkable witnesses ([`amf_audit`]);
+//!   any allocation (feasibility, lex-optimality, Pareto efficiency,
+//!   envy-freeness, sharing incentive) with machine-checkable witnesses
+//!   ([`amf_audit`]);
 //! * [`sim`] — the discrete-event fluid simulator and the JCT add-on
 //!   ([`amf_sim`]);
 //! * [`workload`] — skewed synthetic workload generation

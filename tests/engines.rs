@@ -3,7 +3,7 @@
 
 use amf::core::AmfSolver;
 use amf::sim::tasks::{simulate_tasks, TaskJob, TaskTrace};
-use amf::sim::{simulate, simulate_dynamic, AmfBalanced, SimConfig, SrptPerSite};
+use amf::sim::{simulate, simulate_dynamic, SimConfig, SrptPerSite};
 use amf::workload::trace::{Trace, TraceJob};
 
 /// A workload expressed in both fluid and task terms: 3 jobs on 2 sites,
@@ -84,23 +84,6 @@ fn srpt_minimizes_mean_jct_but_starves() {
     // and under SRPT the big job is strictly last.
     assert!(srpt.jobs[0].jct().unwrap() <= fair.jobs[0].jct().unwrap() + 1e-9);
     assert!((srpt.jobs[2].jct().unwrap() - srpt.makespan).abs() < 1e-9);
-}
-
-#[test]
-fn amf_balanced_dynamic_policy_matches_split_strategy() {
-    // The AmfBalanced dynamic policy and the BalancedProgress split
-    // strategy are the same computation through two APIs.
-    let (fluid_trace, _) = paired_traces();
-    let via_config = simulate(
-        &fluid_trace,
-        &AmfSolver::new(),
-        &SimConfig {
-            split: amf::sim::SplitStrategy::BalancedProgress { repair_rounds: 4 },
-            ..SimConfig::default()
-        },
-    );
-    let via_policy = simulate_dynamic(&fluid_trace, &AmfBalanced::new());
-    assert_eq!(via_config, via_policy);
 }
 
 #[test]

@@ -3,9 +3,8 @@
 //! Property-based integration tests on exact rational instances: the
 //! flow-based solver against brute force, and the paper's properties.
 
-use amf::core::properties::{
-    is_envy_free, is_pareto_efficient, leximin_cmp, satisfies_sharing_incentive,
-};
+use amf::audit::{envy_cert, pareto_cert, si_cert};
+use amf::core::properties::leximin_cmp;
 use amf::core::PerSiteMaxMin;
 use amf::core::{reference_aggregates, AllocationPolicy, AmfSolver, FairnessMode, Instance};
 use amf::numeric::Rational;
@@ -61,8 +60,8 @@ proptest! {
     fn amf_properties_hold_exactly(inst in small_exact_instance()) {
         let alloc = AmfSolver::new().allocate(&inst);
         prop_assert!(alloc.is_feasible(&inst));
-        prop_assert!(is_pareto_efficient(&inst, &alloc));
-        prop_assert!(is_envy_free(&inst, &alloc));
+        prop_assert!(pareto_cert(&inst, &alloc).is_proved());
+        prop_assert!(envy_cert(&inst, &alloc).is_proved());
     }
 
     /// Enhanced AMF always satisfies sharing incentive (the paper's fix),
@@ -71,8 +70,8 @@ proptest! {
     fn enhanced_amf_guarantees_sharing_incentive(inst in small_exact_instance()) {
         let alloc = AmfSolver::enhanced().allocate(&inst);
         prop_assert!(alloc.is_feasible(&inst));
-        prop_assert!(satisfies_sharing_incentive(&inst, &alloc));
-        prop_assert!(is_pareto_efficient(&inst, &alloc));
+        prop_assert!(si_cert(&inst, &alloc).is_proved());
+        prop_assert!(pareto_cert(&inst, &alloc).is_proved());
     }
 
     /// The aggregate vector is monotone under capacity growth: adding

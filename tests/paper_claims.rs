@@ -1,7 +1,7 @@
 //! The paper's qualitative claims, asserted end-to-end. These are the
 //! "shape" checks from EXPERIMENTS.md: who wins, and where it matters.
 
-use amf::core::properties::{is_envy_free, is_pareto_efficient, satisfies_sharing_incentive};
+use amf::audit::{envy_cert, pareto_cert, si_cert};
 use amf::core::{AllocationPolicy, AmfSolver, Instance, PerSiteMaxMin};
 use amf::metrics::jain_index;
 use amf::numeric::Rational;
@@ -114,15 +114,15 @@ fn property_claims_on_the_canonical_counterexample() {
     )
     .unwrap();
     let amf = AmfSolver::new().allocate(&inst);
-    assert!(is_pareto_efficient(&inst, &amf));
-    assert!(is_envy_free(&inst, &amf));
+    assert!(pareto_cert(&inst, &amf).is_proved());
+    assert!(envy_cert(&inst, &amf).is_proved());
     assert!(
-        !satisfies_sharing_incentive(&inst, &amf),
+        si_cert(&inst, &amf).is_violated(),
         "plain AMF must violate SI here"
     );
     let enhanced = AmfSolver::enhanced().allocate(&inst);
-    assert!(satisfies_sharing_incentive(&inst, &enhanced));
-    assert!(is_pareto_efficient(&inst, &enhanced));
+    assert!(si_cert(&inst, &enhanced).is_proved());
+    assert!(pareto_cert(&inst, &enhanced).is_proved());
 }
 
 /// Claim: Enhanced AMF never drops any job below its equal share, on any
@@ -134,7 +134,7 @@ fn enhanced_amf_sharing_incentive_holds_broadly() {
             let inst = skewed(alpha, seed).instance();
             let alloc = AmfSolver::enhanced().allocate(&inst);
             assert!(
-                satisfies_sharing_incentive(&inst, &alloc),
+                si_cert(&inst, &alloc).is_proved(),
                 "enhanced AMF violated SI at alpha={alpha} seed={seed}"
             );
         }
