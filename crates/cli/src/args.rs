@@ -20,10 +20,11 @@ USAGE:
                  # pool.json: {\"capacities\": [9, 18],
                  #             \"jobs\": [{\"demand\": [1, 4],
                  #                       \"max_tasks\": null, \"weight\": 1.0}]}
-    amf serve    [--addr H:P] [--shards K] [--queue-cap Q]
+    amf serve    [--addr H:P] [--queue-cap Q]
                  [--scalar f64|rational] [--port-file PATH]
                  # multi-tenant allocation server; blocks until a client
-                 # sends Shutdown, then prints the drain summary
+                 # sends Shutdown, then prints the drain summary;
+                 # --queue-cap: requests in flight server-wide (default 2048)
     amf client --addr H:P <action>              # one request per invocation
                  # actions: create --tenant T --capacities 4,2.5 [--mode M]
                  #          add-job --tenant T --id N --demands 1,2 [--weight W]
@@ -99,9 +100,7 @@ pub struct AuditParams {
 pub struct ServeParams {
     /// Bind address (default `127.0.0.1:0` — ephemeral port).
     pub addr: String,
-    /// Session-table shards (None = server default).
-    pub shards: Option<usize>,
-    /// Requests in flight per shard (None = server default).
+    /// Requests in flight across the server (None = server default).
     pub queue_cap: Option<usize>,
     /// Session scalar: "f64" (default) or "rational".
     pub scalar: String,
@@ -344,7 +343,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             check_args(
                 "serve",
                 rest,
-                "--addr --shards --queue-cap --scalar --port-file",
+                "--addr --queue-cap --scalar --port-file",
                 "",
                 0,
             )?;
@@ -356,10 +355,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             }
             Ok(Command::Serve(ServeParams {
                 addr: value_of(rest, "--addr")?.unwrap_or_else(|| "127.0.0.1:0".into()),
-                shards: match value_of(rest, "--shards")? {
-                    Some(v) => Some(parse_num(&v, "--shards")?),
-                    None => None,
-                },
                 queue_cap: match value_of(rest, "--queue-cap")? {
                     Some(v) => Some(parse_num(&v, "--queue-cap")?),
                     None => None,
@@ -652,7 +647,7 @@ mod tests {
             "check",
             "audit --policy amf-enhanced --mode enhanced --json",
             "drf",
-            "serve --addr 127.0.0.1:0 --shards 2 --queue-cap 8 \
+            "serve --addr 127.0.0.1:0 --queue-cap 8 \
              --scalar rational --port-file /tmp/p",
             "client --addr a:1 create --tenant ci --capacities 6,4 --mode plain",
             "client --addr a:1 add-job --tenant ci --id 1 --demands 2,3 --weight 2",
@@ -677,6 +672,7 @@ mod tests {
             "--backend",
             "--no-contraction",
             "--workers",
+            "--shards",
         ] {
             assert!(!USAGE.contains(flag), "USAGE still lists {flag}");
         }
@@ -693,7 +689,6 @@ mod tests {
             parse(&sv(&["serve"])).unwrap(),
             Command::Serve(ServeParams {
                 addr: "127.0.0.1:0".into(),
-                shards: None,
                 queue_cap: None,
                 scalar: "f64".into(),
                 port_file: None,
@@ -704,8 +699,6 @@ mod tests {
                 "serve",
                 "--addr",
                 "0.0.0.0:7070",
-                "--shards",
-                "2",
                 "--queue-cap",
                 "64",
                 "--scalar",
@@ -716,7 +709,6 @@ mod tests {
             .unwrap(),
             Command::Serve(ServeParams {
                 addr: "0.0.0.0:7070".into(),
-                shards: Some(2),
                 queue_cap: Some(64),
                 scalar: "rational".into(),
                 port_file: Some("/tmp/p".into()),

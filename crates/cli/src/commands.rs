@@ -178,13 +178,16 @@ pub fn simulate_cmd(p: &SimulateParams, stdin: &str) -> Result<String, String> {
         jcts.len(),
         report.jobs.len()
     ));
-    out.push_str(&format!("mean_jct = {}\n", fmt2(report.mean_jct())));
     // Tail estimate from the shared fixed-bucket histogram (the same
-    // estimator the serving layer uses for request latencies).
-    out.push_str(&format!(
-        "p95_jct = {}\n",
-        fmt2(report.jct_summary(64).percentile(95.0))
-    ));
+    // estimator the serving layer uses for request latencies). With no
+    // job finished there is nothing to average.
+    let (mean, p95) = if jcts.is_empty() {
+        ("n/a".to_string(), "n/a".to_string())
+    } else {
+        let p95 = report.jct_summary(64).percentile(95.0);
+        (fmt2(report.mean_jct()), fmt2(p95))
+    };
+    out.push_str(&format!("mean_jct = {mean}\np95_jct = {p95}\n"));
     out.push_str(&format!("makespan = {}\n", fmt2(report.makespan)));
     out.push_str(&format!(
         "mean_utilization = {}\n",
@@ -363,9 +366,6 @@ pub fn serve_cmd(p: &crate::args::ServeParams) -> Result<String, String> {
         addr: p.addr.clone(),
         ..amf_serve::ServeConfig::default()
     };
-    if let Some(shards) = p.shards {
-        cfg.shards = shards;
-    }
     if let Some(cap) = p.queue_cap {
         cfg.queue_cap = cap;
     }

@@ -78,10 +78,11 @@ mod tests {
     fn removed_solve_knobs_fail_before_solving() {
         // `--backend` and `--no-contraction` selected solver paths that no
         // longer exist, `simulate --incremental` an event-loop session,
-        // `serve --no-coalesce` an eager apply mode and `serve --workers` a
-        // worker pool that are gone too; a script still passing them gets
-        // an error naming the flag, not a silently different run (nor a
-        // server that starts listening).
+        // `serve --no-coalesce` an eager apply mode, `serve --workers` a
+        // worker pool and `serve --shards` a split session table that are
+        // gone too; a script still passing them gets an error naming the
+        // flag, not a silently different run (nor a server that starts
+        // listening).
         let trace = run(
             &sv(&["gen", "--jobs", "4", "--sites", "2", "--seed", "3"]),
             "",
@@ -95,6 +96,7 @@ mod tests {
             &["simulate", "--jct-addon", "--incremental"],
             &["serve", "--no-coalesce"],
             &["serve", "--workers", "2"],
+            &["serve", "--shards", "2"],
         ] {
             let err = run(&sv(argv), &trace).unwrap_err();
             let flag = argv.iter().rev().find(|a| a.starts_with("--")).unwrap();
@@ -133,20 +135,45 @@ mod tests {
     }
 
     #[test]
-    fn simulate_refuses_sub_slot_demand_on_the_slot_engine() {
-        // A demand of half a slot never rounds up to a slot: the slot
-        // engine must refuse the trace, not report it unfinished.
-        let trace = r#"{"capacities":[4],"jobs":[{"arrival":0,"work":[2],"demand":[0.5]}]}"#;
-        let err = run(&sv(&["simulate", "--engine", "slots"]), trace).unwrap_err();
-        assert_eq!(
-            err,
-            "job 0: work at site 0 but demand 0.5 is below one slot — \
-             it could never run on the slot engine"
-        );
-        // The fluid engine runs the job at rate 0.5 and finishes it at t = 4.
-        let fluid = run(&sv(&["simulate"]), trace).unwrap();
-        assert!(fluid.contains("jobs finished = 1/1"), "{fluid}");
-        assert!(fluid.contains("makespan = 4.00"), "{fluid}");
+    fn simulate_refuses_sub_slot_traces_on_the_slot_engine() {
+        // A demand of half a slot never rounds up to a slot, and half a
+        // site rounds down to none: the slot engine must refuse the trace,
+        // not report it unfinished.
+        for (trace, below) in [
+            (
+                r#"{"capacities":[4],"jobs":[{"arrival":0,"work":[2],"demand":[0.5]}]}"#,
+                "demand 0.5",
+            ),
+            (
+                r#"{"capacities":[0.5],"jobs":[{"arrival":0,"work":[2],"demand":[3]}]}"#,
+                "capacity 0.5",
+            ),
+        ] {
+            let err = run(&sv(&["simulate", "--engine", "slots"]), trace).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "job 0: work at site 0 but {below} is below one slot — \
+                     it could never run on the slot engine"
+                )
+            );
+            // The fluid engine runs the job at rate 0.5 and finishes it at t = 4.
+            let fluid = run(&sv(&["simulate"]), trace).unwrap();
+            assert!(fluid.contains("jobs finished = 1/1"), "{fluid}");
+            assert!(fluid.contains("makespan = 4.00"), "{fluid}");
+        }
+    }
+
+    #[test]
+    fn simulate_prints_no_jct_when_no_job_finished() {
+        // A site of capacity 0 strands the job on both engines alike.
+        let trace = r#"{"capacities":[0],"jobs":[{"arrival":0,"work":[2],"demand":[3]}]}"#;
+        for engine in ["fluid", "slots"] {
+            let out = run(&sv(&["simulate", "--engine", engine]), trace).unwrap();
+            assert!(out.contains("jobs finished = 0/1\n"), "{engine}: {out}");
+            assert!(out.contains("\nmean_jct = n/a\n"), "{engine}: {out}");
+            assert!(out.contains("\np95_jct = n/a\n"), "{engine}: {out}");
+        }
     }
 
     #[test]

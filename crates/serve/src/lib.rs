@@ -16,8 +16,8 @@
 //! * **coalescing** ([`coalesce`]) — deltas staged between solves merge
 //!   (last-writer-wins, add/remove cancellation) so one solve absorbs an
 //!   entire burst;
-//! * **server** ([`server`]) — sharded session table, requests answered
-//!   on their connection's thread under a per-shard in-flight cap (typed
+//! * **server** ([`server`]) — one session table, requests answered on
+//!   their connection's thread under a server-wide in-flight cap (typed
 //!   `Overloaded` rejection), panic containment, graceful drain-on-shutdown,
 //!   and per-operation latency histograms from `amf-metrics`;
 //! * **client** ([`client`]) — a blocking [`ServeClient`] used by the CLI

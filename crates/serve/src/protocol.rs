@@ -49,16 +49,31 @@ pub enum Request {
     Shutdown,
 }
 
+/// Operation names, indexed by [`Request::op_index`].
+pub(crate) const OP_NAMES: [&str; 6] = [
+    "create_session",
+    "apply_deltas",
+    "solve",
+    "get_allocation",
+    "stats",
+    "shutdown",
+];
+
 impl Request {
     /// Short operation name used as the latency-histogram key.
     pub fn op_name(&self) -> &'static str {
+        OP_NAMES[self.op_index()]
+    }
+
+    /// Position of this operation in [`OP_NAMES`].
+    pub(crate) fn op_index(&self) -> usize {
         match self {
-            Request::CreateSession { .. } => "create_session",
-            Request::ApplyDeltas { .. } => "apply_deltas",
-            Request::Solve { .. } => "solve",
-            Request::GetAllocation { .. } => "get_allocation",
-            Request::Stats => "stats",
-            Request::Shutdown => "shutdown",
+            Request::CreateSession { .. } => 0,
+            Request::ApplyDeltas { .. } => 1,
+            Request::Solve { .. } => 2,
+            Request::GetAllocation { .. } => 3,
+            Request::Stats => 4,
+            Request::Shutdown => 5,
         }
     }
 }
@@ -101,7 +116,7 @@ pub enum WireDelta {
 /// Coarse error classification for [`Response::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ErrorKind {
-    /// The tenant's shard has its cap of requests in flight; retry later.
+    /// The server has its cap of requests in flight; retry later.
     Overloaded,
     /// The server is draining; no new work is admitted.
     ShuttingDown,
@@ -187,9 +202,9 @@ pub struct OpStats {
 /// Server-wide counters reported by the `Stats` request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireStats {
-    /// Live sessions across all shards.
+    /// Live sessions.
     pub sessions: usize,
-    /// Requests admitted and not yet answered, across all shards.
+    /// Requests admitted and not yet answered.
     pub queued: usize,
     /// Total requests handled (all operations, including failed ones).
     pub requests: u64,
@@ -199,7 +214,7 @@ pub struct WireStats {
     pub deltas_applied: u64,
     /// Deltas eliminated by coalescing before reaching the solver.
     pub deltas_coalesced: u64,
-    /// Requests refused because their shard was at its in-flight cap.
+    /// Requests refused because the server was at its in-flight cap.
     pub overloaded: u64,
     /// Frames that failed to decode into a request.
     pub protocol_errors: u64,

@@ -6,16 +6,17 @@
 //! listener ──accept──▶ one thread per connection:
 //!                      read ─▶ decode ─▶ admit ─▶ handle ─▶ encode ─▶ write
 //!                                          │        │
-//!        shard lock: drain flag, in-flight ┘        └ tenant lock: apply/solve;
+//!        table lock: drain flag, in-flight ┘        └ tenant lock: apply/solve;
 //!        cap, tenant lookup                           a panic is a typed reply
 //! ```
 //!
-//! * **Sharding** — tenants hash (FNV-1a) onto a fixed set of shards, each
-//!   with its own session map and count of requests in flight; a shard at
-//!   its cap refuses with a typed `Overloaded` reply instead of blocking,
-//!   so backpressure is visible to clients rather than silent. A request
-//!   waits only for its own tenant's lock, so one tenant's slow solve does
-//!   not hold back another tenant.
+//! * **Session table** — one map from tenant to session, with the count of
+//!   requests in flight across the whole server. At its cap the server
+//!   refuses with a typed `Overloaded` reply instead of blocking, so
+//!   backpressure is visible to clients rather than silent. The table lock
+//!   guards only the lookup and the count: a request waits for its own
+//!   tenant's lock, so one tenant's slow solve does not hold back another
+//!   tenant.
 //! * **Coalescing** — `ApplyDeltas` stages deltas in a per-tenant
 //!   [`DeltaBatch`]; the next `Solve` applies the merged batch and solves
 //!   once, so a burst of deltas costs one solve.
@@ -23,8 +24,8 @@
 //!   `Internal` reply and the connection keeps serving. A tenant whose
 //!   lock the panic poisoned is quarantined: its later requests are
 //!   refused with `Internal` too.
-//! * **Shutdown** — `Shutdown` sets a flag, then passes through every
-//!   shard lock, so no request is admitted after it. Each connection
+//! * **Shutdown** — `Shutdown` sets a flag, then passes through the table
+//!   lock, so no request is admitted after it. Each connection
 //!   finishes and answers the request it holds; later requests are
 //!   refused with `ShuttingDown`.
 
@@ -43,7 +44,7 @@ use amf_metrics::Histogram;
 use crate::coalesce::DeltaBatch;
 use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
 use crate::protocol::{
-    decode_request, encode, ErrorKind, OpStats, Request, Response, WireDelta, WireStats,
+    decode_request, encode, ErrorKind, OpStats, Request, Response, WireDelta, WireStats, OP_NAMES,
 };
 use crate::WireScalar;
 
@@ -52,28 +53,22 @@ use crate::WireScalar;
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (see [`Server::addr`]).
     pub addr: String,
-    /// Session-table shards (each with its own in-flight cap).
-    pub shards: usize,
-    /// Requests in flight per shard; one more is refused with a typed
-    /// `Overloaded` error.
+    /// Requests in flight across the server; one more is refused with a
+    /// typed `Overloaded` error.
     pub queue_cap: usize,
-    /// Frame payload ceiling in bytes.
-    pub max_frame: usize,
-    /// Connection read timeout (poll interval for the shutdown flag).
-    pub read_timeout: Duration,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            shards: 8,
-            queue_cap: 256,
-            max_frame: DEFAULT_MAX_FRAME,
-            read_timeout: Duration::from_millis(50),
+            queue_cap: 2048,
         }
     }
 }
+
+/// How often an idle connection checks the shutdown flag.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Final counter snapshot returned by [`Server::join`]; identical in shape
 /// to the `Stats` frame payload.
@@ -87,7 +82,7 @@ struct Tenant<S> {
 
 type TenantHandle<S> = Arc<Mutex<Tenant<S>>>;
 
-struct ShardState<S> {
+struct Table<S> {
     sessions: BTreeMap<String, TenantHandle<S>>,
     /// Admitted requests whose reply is not built yet.
     in_flight: usize,
@@ -107,22 +102,10 @@ struct Counters {
     bitset_words_cleared: AtomicU64,
 }
 
-/// Latency-histogram names, one per operation.
-const OP_NAMES: [&str; 6] = [
-    "create_session",
-    "apply_deltas",
-    "solve",
-    "get_allocation",
-    "stats",
-    "shutdown",
-];
-
 struct Shared<S> {
     queue_cap: usize,
-    max_frame: usize,
-    read_timeout: Duration,
     addr: SocketAddr,
-    shards: Vec<Mutex<ShardState<S>>>,
+    table: Mutex<Table<S>>,
     shutdown: AtomicBool,
     counters: Counters,
     /// Per-operation latency histograms (microseconds, log-spaced buckets).
@@ -136,25 +119,17 @@ struct Shared<S> {
 }
 
 impl<S: WireScalar> Shared<S> {
-    fn shard(&self, tenant: &str) -> &Mutex<ShardState<S>> {
-        &self.shards[shard_of(tenant, self.shards.len())]
-    }
-
-    fn record_latency(&self, op: &str, micros: f64) {
-        if let Some(idx) = OP_NAMES.iter().position(|n| *n == op) {
-            let mut book = self.latency.lock().expect("latency lock poisoned");
-            book[idx].add(micros);
-        }
+    fn record_latency(&self, req: &Request, micros: f64) {
+        let mut book = self.latency.lock().expect("latency lock poisoned");
+        book[req.op_index()].add(micros);
     }
 
     fn build_stats(&self) -> WireStats {
-        let (mut sessions, mut queued, mut quarantined) = (0, 0, 0);
-        for sh in &self.shards {
-            let st = sh.lock().expect("shard lock poisoned");
-            sessions += st.sessions.len();
-            queued += st.in_flight;
-            quarantined += st.sessions.values().filter(|t| t.is_poisoned()).count();
-        }
+        let (sessions, queued, quarantined) = {
+            let st = self.table.lock().expect("table lock poisoned");
+            let quarantined = st.sessions.values().filter(|t| t.is_poisoned()).count();
+            (st.sessions.len(), st.in_flight, quarantined)
+        };
         let book = self.latency.lock().expect("latency lock poisoned");
         let ops = OP_NAMES
             .iter()
@@ -186,16 +161,6 @@ impl<S: WireScalar> Shared<S> {
             ops,
         }
     }
-}
-
-fn shard_of(tenant: &str, n_shards: usize) -> usize {
-    // FNV-1a: tiny, dependency-free, good spread on short tenant names.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tenant.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % n_shards as u64) as usize
 }
 
 fn err(kind: ErrorKind, code: &str, message: impl Into<String>) -> Response {
@@ -265,32 +230,31 @@ fn solved_response<S: WireScalar>(session: &IncrementalAmf<S>, resolved: bool) -
     }
 }
 
-/// A request admitted to its tenant's shard, with the tenant's session if
-/// one exists. It counts toward the shard's in-flight cap until dropped.
+/// An admitted request, with the tenant's session if one exists. It counts
+/// toward the server's in-flight cap until dropped.
 struct Admitted<'a, S> {
-    shard: &'a Mutex<ShardState<S>>,
+    table: &'a Mutex<Table<S>>,
     tenant: Option<TenantHandle<S>>,
 }
 
 impl<S> Drop for Admitted<'_, S> {
     fn drop(&mut self) {
-        let mut st = self.shard.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = self.table.lock().unwrap_or_else(PoisonError::into_inner);
         st.in_flight -= 1;
     }
 }
 
 /// Admit a request for `tenant` and look the tenant up, in one section
-/// under its shard lock; refuses while draining or when the shard already
+/// under the table lock; refuses while draining or when the server already
 /// has `queue_cap` requests in flight.
 fn admit<'a, S: WireScalar>(
     shared: &'a Shared<S>,
     tenant: &str,
 ) -> Result<Admitted<'a, S>, Response> {
-    let shard = shared.shard(tenant);
-    let mut st = shard.lock().expect("shard lock poisoned");
-    // Checked under the shard lock: `begin_shutdown` sets the flag and then
-    // passes through every shard lock, so after that barrier no request
-    // is admitted.
+    let mut st = shared.table.lock().expect("table lock poisoned");
+    // Checked under the table lock: `begin_shutdown` sets the flag and then
+    // passes through the table lock, so after that barrier no request is
+    // admitted.
     if shared.shutdown.load(Ordering::Acquire) {
         return Err(err(
             ErrorKind::ShuttingDown,
@@ -300,12 +264,12 @@ fn admit<'a, S: WireScalar>(
     }
     if st.in_flight >= shared.queue_cap {
         shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-        let msg = format!("shard at capacity ({} requests in flight)", st.in_flight);
+        let msg = format!("server at capacity ({} requests in flight)", st.in_flight);
         return Err(err(ErrorKind::Overloaded, "overloaded", msg));
     }
     st.in_flight += 1;
     Ok(Admitted {
-        shard,
+        table: &shared.table,
         tenant: st.sessions.get(tenant).cloned(),
     })
 }
@@ -387,7 +351,7 @@ fn handle_create<S: WireScalar>(
         .collect::<Result<Vec<S>, _>>()?;
     let sites = caps.len();
     let session = IncrementalAmf::new(solver, caps).map_err(|e| delta_err(&e))?;
-    let mut st = shared.shard(tenant).lock().expect("shard lock poisoned");
+    let mut st = shared.table.lock().expect("table lock poisoned");
     if st.sessions.contains_key(tenant) {
         let msg = format!("tenant {tenant:?} already has a session");
         return Err(err(ErrorKind::DuplicateTenant, "duplicate_tenant", msg));
@@ -449,12 +413,10 @@ fn begin_shutdown<S: WireScalar>(shared: &Shared<S>) {
     if shared.shutdown.swap(true, Ordering::AcqRel) {
         return; // already draining
     }
-    // Barrier: pass through every shard lock, so a request that passed the
+    // Barrier: pass through the table lock, so a request that passed the
     // flag check is already counted in flight and none is admitted later
     // (see `admit`).
-    for shard in &shared.shards {
-        drop(shard.lock().expect("shard lock poisoned"));
-    }
+    drop(shared.table.lock().expect("table lock poisoned"));
     // Unblock the accept loop with a throwaway connection.
     let _ = TcpStream::connect(shared.addr);
 }
@@ -462,11 +424,11 @@ fn begin_shutdown<S: WireScalar>(shared: &Shared<S>) {
 /// Per-connection loop: decode frames, answer Stats/Shutdown directly,
 /// and admit and handle everything else on this thread.
 fn serve_conn<S: WireScalar>(shared: &Arc<Shared<S>>, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(shared.read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_nodelay(true);
     loop {
-        let payload = match read_frame(&mut stream, shared.max_frame) {
+        let payload = match read_frame(&mut stream, DEFAULT_MAX_FRAME) {
             Ok(Some(p)) => p,
             Ok(None) => return, // clean close
             Err(FrameError::IdleTimeout) => {
@@ -519,7 +481,7 @@ fn serve_conn<S: WireScalar>(shared: &Arc<Shared<S>>, mut stream: TcpStream) {
                 Err(refusal) => refusal,
             },
         };
-        shared.record_latency(req.op_name(), started.elapsed().as_secs_f64() * 1e6);
+        shared.record_latency(&req, started.elapsed().as_secs_f64() * 1e6);
         if write_frame(&mut stream, &encode(&resp)).is_err() {
             return;
         }
@@ -544,17 +506,11 @@ impl<S: WireScalar> Server<S> {
             .collect();
         let shared = Arc::new(Shared {
             queue_cap: cfg.queue_cap.max(1),
-            max_frame: cfg.max_frame,
-            read_timeout: cfg.read_timeout,
             addr,
-            shards: (0..cfg.shards.max(1))
-                .map(|_| {
-                    Mutex::new(ShardState {
-                        sessions: BTreeMap::new(),
-                        in_flight: 0,
-                    })
-                })
-                .collect(),
+            table: Mutex::new(Table {
+                sessions: BTreeMap::new(),
+                in_flight: 0,
+            }),
             shutdown: AtomicBool::new(false),
             counters: Counters::default(),
             latency: Mutex::new(latency),
@@ -642,7 +598,7 @@ mod tests {
 
     /// Tenant `name`'s session handle, for tests that hold its lock.
     fn lookup(server: &Server<f64>, name: &str) -> TenantHandle<f64> {
-        let st = server.shared.shard(name).lock().expect("shard lock");
+        let st = server.shared.table.lock().expect("table lock");
         Arc::clone(&st.sessions[name])
     }
 
@@ -768,7 +724,6 @@ mod tests {
     #[test]
     fn in_flight_cap_rejects_with_overloaded_instead_of_blocking() {
         let server = Server::<f64>::bind(ServeConfig {
-            shards: 1,
             queue_cap: 2,
             ..ServeConfig::default()
         })
@@ -777,7 +732,7 @@ mod tests {
         probe.create_session("x", &[1.0], None).expect("create");
 
         // Holding x's lock keeps both fillers admitted and waiting, so the
-        // shard sits at its cap and the next request must bounce.
+        // server sits at its cap and the next request must bounce.
         let x = lookup(&server, "x");
         let held = x.lock().expect("not poisoned");
         let fillers = [solve_later(&server, "x"), solve_later(&server, "x")];
@@ -804,6 +759,38 @@ mod tests {
         let summary = server.join();
         assert_eq!(summary.overloaded, 1);
         assert_eq!(summary.queued, 0);
+    }
+
+    #[test]
+    fn in_flight_cap_counts_every_tenant() {
+        let server = Server::<f64>::bind(ServeConfig {
+            queue_cap: 2,
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let mut probe = ServeClient::connect(server.addr()).expect("connect probe");
+        for tenant in ["a", "b", "c"] {
+            probe.create_session(tenant, &[1.0], None).expect("create");
+        }
+
+        // One waiting request for each of two other tenants fills the cap,
+        // so c's first request bounces although c has nothing in flight.
+        let (a, b) = (lookup(&server, "a"), lookup(&server, "b"));
+        let held = (a.lock().expect("a"), b.lock().expect("b"));
+        let fillers = [solve_later(&server, "a"), solve_later(&server, "b")];
+        wait_in_flight(&mut probe, 2);
+        assert_refused(probe.solve("c"), (ErrorKind::Overloaded, "overloaded"));
+
+        probe.shutdown().expect("shutdown ack");
+        drop(held);
+        for filler in fillers {
+            filler
+                .join()
+                .expect("filler")
+                .expect("in-flight filler solved");
+        }
+        let summary = server.join();
+        assert_eq!((summary.overloaded, summary.queued), (1, 0));
     }
 
     #[test]

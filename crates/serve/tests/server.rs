@@ -191,11 +191,7 @@ fn solved_job_ids_stay_ascending_and_row_aligned_under_churn() {
 
 #[test]
 fn concurrent_tenants_match_serial_rational_solves() {
-    let cfg = ServeConfig {
-        shards: 4,
-        ..ServeConfig::default()
-    };
-    let server = Server::<Rational>::bind(cfg).expect("bind");
+    let server = Server::<Rational>::bind(ServeConfig::default()).expect("bind");
     let addr = server.addr();
 
     const THREADS: usize = 4;

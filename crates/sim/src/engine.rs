@@ -163,11 +163,11 @@ pub(crate) fn check_job(work: &[f64], demand: &[f64], m: usize, slots: bool) -> 
 }
 
 /// Check that every job of `trace` can run (see [`simulate`]'s panics);
-/// `slots` adds the slot engine's rule that a portion with work needs a
-/// demand of at least one slot
-/// ([`simulate_slots`](crate::slots::simulate_slots)). The engines panic
-/// on a trace this refuses; a caller that reads traces from users checks
-/// them here first.
+/// `slots` adds the slot engine's rules that a portion with work needs a
+/// demand of at least one slot, and a site with capacity either none or
+/// at least one slot ([`simulate_slots`](crate::slots::simulate_slots)).
+/// The engines panic on a trace this refuses; a caller that reads traces
+/// from users checks them here first.
 ///
 /// # Errors
 /// Returns a message naming the first offending job and site.
@@ -175,6 +175,16 @@ pub fn check_trace(trace: &Trace, slots: bool) -> Result<(), String> {
     let m = trace.capacities.len();
     for (i, job) in trace.jobs.iter().enumerate() {
         check_job(&job.work, &job.demand, m, slots).map_err(|e| format!("job {i}: {e}"))?;
+        // Capacity 0 strands work on both engines alike; a capacity in
+        // (0, 1) strands it on the slot engine only.
+        let sub_slot = |(&w, &c): (&f64, &f64)| slots && w > 0.0 && c > 0.0 && c < 1.0;
+        if let Some(s) = job.work.iter().zip(&trace.capacities).position(sub_slot) {
+            let c = trace.capacities[s];
+            return Err(format!(
+                "job {i}: work at site {s} but capacity {c} is below one slot — \
+                 it could never run on the slot engine"
+            ));
+        }
     }
     Ok(())
 }
@@ -857,6 +867,22 @@ mod tests {
         let negative = batch_trace(vec![4.0], vec![(vec![1.0], vec![-1.0])]);
         let want = "job 0: negative entry at site 0";
         assert_eq!(check_trace(&negative, true), Err(want.into()));
+
+        // A site below one slot refuses work there (not a zero-work
+        // portion); a site of capacity 0 is allowed on both engines.
+        let sub_slot = batch_trace(
+            vec![0.0, 4.0, 0.5],
+            vec![
+                (vec![1.0, 1.0, 0.0], vec![1.0, 1.0, 2.0]),
+                (vec![0.0, 1.0, 2.0], vec![0.0, 1.0, 3.0]),
+            ],
+        );
+        assert_eq!(check_trace(&sub_slot, false), Ok(()));
+        let err = check_trace(&sub_slot, true).unwrap_err();
+        assert!(
+            err.starts_with("job 1: work at site 2 but capacity 0.5 is below one slot"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -58,10 +58,12 @@ pub fn largest_remainder_round(
 ///
 /// # Panics
 /// Panics on malformed traces (see [`crate::simulate`]), and on work at a
-/// site where the job's demand is below one slot: rounding never gives
-/// such a job a slot there, so it could never finish. The message names
-/// the job and the site; [`check_trace`](crate::check_trace) with `slots`
-/// returns it as an error instead.
+/// site where the job's demand is below one slot, or where the site's
+/// capacity is above zero but below one slot: rounding never gives such a
+/// job a slot there, so it could never finish. (A site of capacity 0
+/// strands work on the fluid engine too, and is allowed.) The message
+/// names the job and the site; [`check_trace`](crate::check_trace) with
+/// `slots` returns it as an error instead.
 pub fn simulate_slots(trace: &Trace, policy: &dyn AllocationPolicy<f64>) -> SimReport {
     if let Err(e) = crate::check_trace(trace, true) {
         panic!("{e}");

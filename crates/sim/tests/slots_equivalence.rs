@@ -6,7 +6,8 @@
 //! makespan, utilization and reallocation count, on traces with 1–5
 //! sites, integral and half-integral capacities (0 included), batch and
 //! staggered arrivals, and zero-work portions and jobs, under five
-//! policies.
+//! policies. A generated trace with work at a half-slot site (capacity
+//! 0.5) is refused by the engine instead, with `check_trace`'s message.
 
 // The oracle is kept verbatim, indexed site loops included (the crate
 // allows them too).
@@ -16,7 +17,7 @@ use amf_core::{
     AllocationPolicy, AmfSolver, EqualDivision, Instance, PerSiteMaxMin, ProportionalToDemand,
 };
 use amf_sim::slots::{largest_remainder_round, simulate_slots};
-use amf_sim::{JobOutcome, SimReport};
+use amf_sim::{check_trace, JobOutcome, SimReport};
 use amf_workload::trace::{Trace, TraceJob};
 use proptest::prelude::*;
 
@@ -266,12 +267,29 @@ fn assert_bit_identical(trace: &Trace, policy: &dyn AllocationPolicy<f64>) {
     );
 }
 
+/// `simulate_slots` panics with `check_trace`'s message, `want`.
+fn assert_refused(trace: &Trace, want: &str) {
+    assert!(want.contains("is below one slot"), "{want}");
+    let run = || simulate_slots(trace, &AmfSolver::new());
+    let panic = std::panic::catch_unwind(run).expect_err("a refused trace ran");
+    let got = panic
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    assert_eq!(got, want);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(120))]
 
     fn slot_engine_is_bit_identical_to_the_standalone_loop(trace in trace()) {
-        for policy in policies() {
-            assert_bit_identical(&trace, policy.as_ref());
+        match check_trace(&trace, true) {
+            // Work at a half-slot site: the engine refuses the trace.
+            Err(e) => assert_refused(&trace, &e),
+            Ok(()) => {
+                for policy in policies() {
+                    assert_bit_identical(&trace, policy.as_ref());
+                }
+            }
         }
     }
 }
