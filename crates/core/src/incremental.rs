@@ -70,6 +70,71 @@ pub enum Delta<S> {
     },
 }
 
+impl<S: Scalar> Delta<S> {
+    /// Validate this delta against a session of `n_sites` sites in which
+    /// `live` tells which job ids are live: job liveness first, then shape
+    /// (row length, site index), then values. The first failed check is
+    /// the error. [`IncrementalAmf::apply`] runs it against the session's
+    /// jobs; a batch staging deltas for a later apply runs it against the
+    /// session with the batch applied.
+    pub fn check(&self, n_sites: usize, live: impl Fn(JobId) -> bool) -> Result<(), DeltaError> {
+        let site_in_range = |site: usize| {
+            if site < n_sites {
+                Ok(())
+            } else {
+                Err(DeltaError::SiteOutOfRange { site, n_sites })
+            }
+        };
+        let amount = |v: S, what: &'static str| {
+            if bad_amount(v) {
+                Err(DeltaError::InvalidValue { what })
+            } else {
+                Ok(())
+            }
+        };
+        match self {
+            Delta::AddJob {
+                id,
+                demands,
+                weight,
+            } => {
+                if live(*id) {
+                    return Err(DeltaError::DuplicateJob { id: *id });
+                }
+                if demands.len() != n_sites {
+                    return Err(DeltaError::RaggedDemands {
+                        expected: n_sites,
+                        got: demands.len(),
+                    });
+                }
+                for &d in demands {
+                    amount(d, "demand")?;
+                }
+                if !weight.is_valid() || !weight.is_positive() {
+                    return Err(DeltaError::InvalidValue { what: "weight" });
+                }
+            }
+            Delta::RemoveJob { id } => {
+                if !live(*id) {
+                    return Err(DeltaError::UnknownJob { id: *id });
+                }
+            }
+            Delta::DemandChange { id, site, demand } => {
+                if !live(*id) {
+                    return Err(DeltaError::UnknownJob { id: *id });
+                }
+                site_in_range(*site)?;
+                amount(*demand, "demand")?;
+            }
+            Delta::CapacityChange { site, capacity } => {
+                site_in_range(*site)?;
+                amount(*capacity, "capacity")?;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Why a [`Delta`] was rejected. The session state is unchanged on error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaError {
@@ -261,53 +326,23 @@ impl<S: Scalar> IncrementalAmf<S> {
 
     /// Apply one delta. On `Err` the session is unchanged.
     pub fn apply(&mut self, delta: Delta<S>) -> Result<(), DeltaError> {
-        let m = self.capacities.len();
+        delta.check(self.capacities.len(), |id| self.jobs.contains_key(&id))?;
         match delta {
             Delta::AddJob {
                 id,
                 demands,
                 weight,
             } => {
-                if self.jobs.contains_key(&id) {
-                    return Err(DeltaError::DuplicateJob { id });
-                }
-                if demands.len() != m {
-                    return Err(DeltaError::RaggedDemands {
-                        expected: m,
-                        got: demands.len(),
-                    });
-                }
-                if demands.iter().any(|&d| bad_amount(d)) {
-                    return Err(DeltaError::InvalidValue { what: "demand" });
-                }
-                if !weight.is_valid() || !weight.is_positive() {
-                    return Err(DeltaError::InvalidValue { what: "weight" });
-                }
                 self.jobs.insert(id, Job { demands, weight });
             }
             Delta::RemoveJob { id } => {
-                self.jobs.remove(&id).ok_or(DeltaError::UnknownJob { id })?;
+                self.jobs.remove(&id);
             }
             Delta::DemandChange { id, site, demand } => {
-                let job = self
-                    .jobs
-                    .get_mut(&id)
-                    .ok_or(DeltaError::UnknownJob { id })?;
-                if site >= m {
-                    return Err(DeltaError::SiteOutOfRange { site, n_sites: m });
-                }
-                if bad_amount(demand) {
-                    return Err(DeltaError::InvalidValue { what: "demand" });
-                }
+                let job = self.jobs.get_mut(&id).expect("checked live");
                 job.demands[site] = demand;
             }
             Delta::CapacityChange { site, capacity } => {
-                if site >= m {
-                    return Err(DeltaError::SiteOutOfRange { site, n_sites: m });
-                }
-                if bad_amount(capacity) {
-                    return Err(DeltaError::InvalidValue { what: "capacity" });
-                }
                 self.capacities[site] = capacity;
             }
         }
@@ -389,6 +424,59 @@ mod tests {
         let agg = assert_matches_scratch(&mut session);
         assert!((agg[0] - 4.0).abs() < 1e-9);
         assert!((agg[1] - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn check_reports_liveness_then_shape_then_values() {
+        use DeltaError::*;
+        let (one, two) = (JobId(1), JobId(2));
+        let add = |id, demands, weight| Delta::AddJob {
+            id,
+            demands,
+            weight,
+        };
+        let change = |id, site, demand| Delta::DemandChange { id, site, demand };
+        let cap = |site, capacity| Delta::CapacityChange { site, capacity };
+        let ragged = RaggedDemands {
+            expected: 2,
+            got: 1,
+        };
+        let cases = [
+            (add(one, vec![-1.0], 0.0), Err(DuplicateJob { id: one })),
+            (add(two, vec![-1.0], 0.0), Err(ragged)),
+            (
+                add(two, vec![1.0, f64::NAN], 0.0),
+                Err(InvalidValue { what: "demand" }),
+            ),
+            (
+                add(two, vec![1.0, 0.0], 0.0),
+                Err(InvalidValue { what: "weight" }),
+            ),
+            (add(two, vec![1.0, 0.0], 2.0), Ok(())),
+            (Delta::RemoveJob { id: two }, Err(UnknownJob { id: two })),
+            (Delta::RemoveJob { id: one }, Ok(())),
+            (change(two, 9, -1.0), Err(UnknownJob { id: two })),
+            (
+                change(one, 9, -1.0),
+                Err(SiteOutOfRange {
+                    site: 9,
+                    n_sites: 2,
+                }),
+            ),
+            (change(one, 1, -1.0), Err(InvalidValue { what: "demand" })),
+            (
+                cap(2, -1.0),
+                Err(SiteOutOfRange {
+                    site: 2,
+                    n_sites: 2,
+                }),
+            ),
+            (cap(1, f64::NAN), Err(InvalidValue { what: "capacity" })),
+            (cap(1, 0.0), Ok(())),
+        ];
+        for (delta, want) in cases {
+            assert_eq!(delta.check(2, |id| id == one), want, "{delta:?}");
+        }
     }
 
     #[test]

@@ -209,7 +209,8 @@ pub struct SolveOutput<S> {
 
 /// Reusable working memory for [`AmfSolver::solve_with_pool`].
 ///
-/// Holds the flow kernels' [`FlowScratch`] arena plus every per-round
+/// Holds the one [`AllocationNetwork`] every round of every solve rebuilds
+/// in place (with its flow kernels' [`FlowScratch`]) plus every per-round
 /// buffer the solver needs (cap vectors, cut/reachability masks, preload
 /// and split matrices), so a pooled solve performs no per-check heap
 /// allocation once the buffers have grown to the instance size. One pool
@@ -217,7 +218,7 @@ pub struct SolveOutput<S> {
 /// [`AmfSolver::solve_batch`] hands one to each worker thread.
 #[derive(Debug)]
 pub struct SolverPool<S> {
-    scratch: FlowScratch<S>,
+    net: AllocationNetwork<S>,
     us: Vec<S>,
     side: Vec<bool>,
     grow_jobs: Vec<bool>,
@@ -439,7 +440,7 @@ impl<S: Scalar> SolverPool<S> {
     /// An empty pool; buffers grow on first use.
     pub fn new() -> Self {
         SolverPool {
-            scratch: FlowScratch::new(),
+            net: AllocationNetwork::default(),
             us: Vec::new(),
             side: Vec::new(),
             grow_jobs: Vec::new(),
@@ -459,9 +460,10 @@ impl<S: Scalar> SolverPool<S> {
         }
     }
 
-    /// The kernel scratch arena, for reading its diagnostic counters.
-    pub fn scratch(&self) -> &FlowScratch<S> {
-        &self.scratch
+    /// The flow kernels' working memory, for reading its diagnostic
+    /// counters.
+    pub fn scratch(&self) -> &FlowScratch {
+        self.net.scratch()
     }
 }
 
@@ -571,7 +573,7 @@ impl AmfSolver {
 
     /// [`solve`](Self::solve) with caller-provided working memory. The
     /// result is identical; repeated calls reuse the pool's buffers and
-    /// scratch arena instead of reallocating them.
+    /// network instead of reallocating them.
     ///
     /// See the module docs for why committing frozen splits and contracting
     /// dead sites is exact. After the initial scan of the instance, every
@@ -594,7 +596,7 @@ impl AmfSolver {
             };
         }
         let SolverPool {
-            scratch,
+            net,
             us,
             side,
             grow_jobs,
@@ -653,13 +655,11 @@ impl AmfSolver {
             cur.start.push(cur.support.len());
         }
 
-        let arena = std::mem::take(scratch);
-        let edges0 = arena.edges_visited();
-        let reuse0 = arena.reuse_hits();
-        let csr0 = arena.csr_rebuilds();
-        let words0 = arena.bitset_words_cleared();
-        let mut net =
-            AllocationNetwork::new_sparse_with_scratch(&cur.start, &cur.support, &cur.caps, arena);
+        let edges0 = net.scratch().edges_visited();
+        let reuse0 = net.scratch().reuse_hits();
+        let csr0 = net.scratch().csr_rebuilds();
+        let words0 = net.scratch().bitset_words_cleared();
+        net.rebuild_sparse(&cur.start, &cur.support, &cur.caps);
 
         let mut rounds: Vec<FreezeRound<S>> = Vec::new();
         cuts.clear(n);
@@ -695,7 +695,7 @@ impl AmfSolver {
                 let t_star = loop {
                     stats.dinkelbach_iterations += 1;
                     stats.max_flows += 1;
-                    let (flow, target) = check_level(&mut net, &caps, cur, t, &mut stats, us);
+                    let (flow, target) = check_level(net, &caps, cur, t, &mut stats, us);
                     if flow.approx_eq_rel(target) {
                         at_t_star = true;
                         break t;
@@ -750,7 +750,7 @@ impl AmfSolver {
                     // the loop exited on a lowered level without
                     // re-checking).
                     stats.max_flows += 1;
-                    let (flow, target) = check_level(&mut net, &caps, cur, t_star, &mut stats, us);
+                    let (flow, target) = check_level(net, &caps, cur, t_star, &mut stats, us);
                     debug_assert!(
                         flow.approx_eq_rel(target),
                         "level t*={t_star} must be feasible (flow {flow}, target {target})"
@@ -890,13 +890,7 @@ impl AmfSolver {
                 }
                 next.start.push(next.support.len());
             }
-            let arena = net.take_scratch();
-            net = AllocationNetwork::new_sparse_with_scratch(
-                &next.start,
-                &next.support,
-                &next.caps,
-                arena,
-            );
+            net.rebuild_sparse(&next.start, &next.support, &next.caps);
             // Job caps start at zero; raise each to its preloaded total
             // (summed in `preload_job_split`'s own edge order so the f64
             // results are bitwise identical) before pushing the flow.
@@ -916,7 +910,7 @@ impl AmfSolver {
             std::mem::swap(cur, next);
         }
 
-        *scratch = net.take_scratch();
+        let scratch = net.scratch();
         stats.edges_visited = scratch.edges_visited() - edges0;
         stats.scratch_reuse_hits = scratch.reuse_hits() - reuse0;
         stats.csr_rebuilds = scratch.csr_rebuilds() - csr0;

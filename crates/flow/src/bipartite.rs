@@ -5,16 +5,10 @@ use crate::graph::{EdgeId, FlowNetwork, NodeId};
 use crate::scratch::FlowScratch;
 use amf_numeric::{max2, min2, Scalar};
 
-/// Recycled [`AllocationNetwork`] side structures (edge-id maps), stashed
-/// in the [`FlowScratch`] by
-/// [`AllocationNetwork::take_scratch`] so the solver's per-contraction
-/// rebuild reuses every vector instead of reallocating them.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct AllocSpares {
-    pub(crate) job_cap_edges: Vec<EdgeId>,
-    pub(crate) site_cap_edges: Vec<EdgeId>,
-    pub(crate) demand_edges: Vec<Vec<(usize, EdgeId)>>,
-}
+/// The source node.
+const SOURCE: NodeId = 0;
+/// The sink node.
+const SINK: NodeId = 1;
 
 /// Node id of job `j`: nodes 0 and 1 are the source and the sink, the
 /// jobs follow, then the sites.
@@ -37,23 +31,34 @@ fn site_node(n_jobs: usize, s: usize) -> NodeId {
 /// This wrapper owns that vocabulary so the solver reads like the paper's
 /// pseudo-code rather than like graph plumbing.
 ///
-/// The network owns a [`FlowScratch`] arena, so repeated max flows and
-/// reachability sweeps are allocation-free; when the solver contracts to a
-/// smaller network it moves the arena over with
-/// [`take_scratch`](Self::take_scratch) /
-/// [`new_sparse_with_scratch`](Self::new_sparse_with_scratch).
+/// The network owns its flow network's working memory, so repeated max
+/// flows and reachability sweeps are allocation-free, and
+/// [`rebuild_sparse`](Self::rebuild_sparse) rebuilds it in place — the
+/// solver's per-round contraction reuses every buffer instead of
+/// allocating a successor network.
 #[derive(Debug, Clone)]
 pub struct AllocationNetwork<S> {
     net: FlowNetwork<S>,
     n_jobs: usize,
     n_sites: usize,
-    source: NodeId,
-    sink: NodeId,
     job_cap_edges: Vec<EdgeId>,
     site_cap_edges: Vec<EdgeId>,
     /// Per job: `(site, edge)` for every strictly positive demand.
     demand_edges: Vec<Vec<(usize, EdgeId)>>,
-    scratch: FlowScratch<S>,
+}
+
+impl<S: Scalar> Default for AllocationNetwork<S> {
+    /// The network of no jobs and no sites: just the source and the sink.
+    fn default() -> Self {
+        AllocationNetwork {
+            net: FlowNetwork::new(2),
+            n_jobs: 0,
+            n_sites: 0,
+            job_cap_edges: Vec::new(),
+            site_cap_edges: Vec::new(),
+            demand_edges: Vec::new(),
+        }
+    }
 }
 
 impl<S: Scalar> AllocationNetwork<S> {
@@ -72,13 +77,15 @@ impl<S: Scalar> AllocationNetwork<S> {
                 "demand row length != site count"
             );
         }
-        let rows = demands.iter().map(|row| row.iter().copied().enumerate());
-        Self::build(rows, capacities, FlowScratch::new())
+        let mut net = Self::default();
+        net.build(
+            demands.iter().map(|row| row.iter().copied().enumerate()),
+            capacities,
+        );
+        net
     }
 
-    /// [`new`](Self::new) from sparse demand rows, reusing a
-    /// [`FlowScratch`] arena (typically recovered from a retired network
-    /// via [`take_scratch`](Self::take_scratch)): job `j`'s demands are
+    /// [`new`](Self::new) from sparse demand rows: job `j`'s demands are
     /// `entries[offsets[j]..offsets[j + 1]]`, as `(site, demand)` pairs in
     /// ascending site order, and every site not listed has zero demand.
     /// Builds exactly the network the equivalent dense rows give (the same
@@ -86,14 +93,22 @@ impl<S: Scalar> AllocationNetwork<S> {
     /// rather than in jobs × sites.
     ///
     /// # Panics
+    /// As [`rebuild_sparse`](Self::rebuild_sparse).
+    pub fn new_sparse(offsets: &[usize], entries: &[(usize, S)], capacities: &[S]) -> Self {
+        let mut net = Self::default();
+        net.rebuild_sparse(offsets, entries, capacities);
+        net
+    }
+
+    /// Rebuild this network in place as [`new_sparse`](Self::new_sparse)
+    /// builds it, keeping every buffer: the edge arena, the edge-id maps and
+    /// the kernels' working memory (whose counters keep counting). Flows
+    /// and job source caps start at zero.
+    ///
+    /// # Panics
     /// Panics on negative demands/capacities, on a site index out of range,
     /// or if `offsets` is empty or not ascending.
-    pub fn new_sparse_with_scratch(
-        offsets: &[usize],
-        entries: &[(usize, S)],
-        capacities: &[S],
-        scratch: FlowScratch<S>,
-    ) -> Self {
+    pub fn rebuild_sparse(&mut self, offsets: &[usize], entries: &[(usize, S)], capacities: &[S]) {
         assert!(!offsets.is_empty(), "sparse rows need offsets[0]");
         let n_sites = capacities.len();
         let rows = offsets.windows(2).map(|w| {
@@ -102,44 +117,31 @@ impl<S: Scalar> AllocationNetwork<S> {
                 (s, d)
             })
         });
-        Self::build(rows, capacities, scratch)
+        self.build(rows, capacities);
     }
 
-    /// Shared constructor body: one iterator of `(site, demand)` pairs per
-    /// job, sites ascending; an edge is added for every positive demand.
-    fn build<R>(
-        rows: impl ExactSizeIterator<Item = R>,
-        capacities: &[S],
-        scratch: FlowScratch<S>,
-    ) -> Self
+    /// Shared build body: one iterator of `(site, demand)` pairs per job,
+    /// sites ascending; an edge is added for every positive demand, in the
+    /// order job caps, demands (job-major), site caps.
+    fn build<R>(&mut self, rows: impl ExactSizeIterator<Item = R>, capacities: &[S])
     where
         R: Iterator<Item = (usize, S)>,
     {
         let n_jobs = rows.len();
         let n_sites = capacities.len();
-        let mut scratch = scratch;
-        // Recycle a retired network's edge arena and side-structure
-        // vectors when the scratch carries them (the solver's contraction
-        // loop does), so rebuilds allocate nothing in steady state.
-        let mut net: FlowNetwork<S> = FlowNetwork::new_reusing(2 + n_jobs + n_sites, &mut scratch);
-        let AllocSpares {
-            mut job_cap_edges,
-            mut site_cap_edges,
-            mut demand_edges,
-        } = std::mem::take(&mut scratch.alloc_spares);
-        let source: NodeId = 0;
-        let sink: NodeId = 1;
+        self.n_jobs = n_jobs;
+        self.n_sites = n_sites;
+        let net = &mut self.net;
+        net.clear(2 + n_jobs + n_sites);
         let site_node = |s: usize| site_node(n_jobs, s);
 
-        job_cap_edges.clear();
-        job_cap_edges.extend((0..n_jobs).map(|j| net.add_edge(source, job_node(j), S::ZERO)));
-        // Rows beyond the new job count are dropped (networks only shrink
-        // across contractions); kept rows reuse their allocations and are
-        // cleared before filling.
-        demand_edges.truncate(n_jobs);
-        demand_edges.resize(n_jobs, Vec::new());
+        self.job_cap_edges.clear();
+        self.job_cap_edges
+            .extend((0..n_jobs).map(|j| net.add_edge(SOURCE, job_node(j), S::ZERO)));
+        // Kept rows reuse their allocations and are cleared before filling.
+        self.demand_edges.resize(n_jobs, Vec::new());
         for (j, row) in rows.enumerate() {
-            let edges = &mut demand_edges[j];
+            let edges = &mut self.demand_edges[j];
             edges.clear();
             for (s, d) in row {
                 assert!(!(d < S::ZERO), "negative demand d[{j}][{s}]");
@@ -148,44 +150,18 @@ impl<S: Scalar> AllocationNetwork<S> {
                 }
             }
         }
-        site_cap_edges.clear();
-        site_cap_edges.extend(capacities.iter().enumerate().map(|(s, &c)| {
-            assert!(!(c < S::ZERO), "negative capacity c[{s}]");
-            net.add_edge(site_node(s), sink, c)
-        }));
-
-        AllocationNetwork {
-            net,
-            n_jobs,
-            n_sites,
-            source,
-            sink,
-            job_cap_edges,
-            site_cap_edges,
-            demand_edges,
-            scratch,
-        }
+        self.site_cap_edges.clear();
+        self.site_cap_edges
+            .extend(capacities.iter().enumerate().map(|(s, &c)| {
+                assert!(!(c < S::ZERO), "negative capacity c[{s}]");
+                net.add_edge(site_node(s), SINK, c)
+            }));
     }
 
-    /// Move the scratch arena out (leaving an empty one behind), so a
-    /// successor network can inherit its buffers and counters. The
-    /// retiring network's edge arena is salvaged into the scratch on the
-    /// way out (this network must not be used again), letting
-    /// [`new_sparse_with_scratch`](Self::new_sparse_with_scratch) rebuild
-    /// without allocating.
-    pub fn take_scratch(&mut self) -> FlowScratch<S> {
-        self.net.salvage_into(&mut self.scratch);
-        self.scratch.alloc_spares = AllocSpares {
-            job_cap_edges: std::mem::take(&mut self.job_cap_edges),
-            site_cap_edges: std::mem::take(&mut self.site_cap_edges),
-            demand_edges: std::mem::take(&mut self.demand_edges),
-        };
-        std::mem::take(&mut self.scratch)
-    }
-
-    /// The scratch arena, for reading its diagnostic counters.
-    pub fn scratch(&self) -> &FlowScratch<S> {
-        &self.scratch
+    /// The flow network's working memory, for reading its diagnostic
+    /// counters.
+    pub fn scratch(&self) -> &FlowScratch {
+        self.net.scratch()
     }
 
     /// Set job `j`'s source cap (its water-level target `u_j`).
@@ -205,7 +181,7 @@ impl<S: Scalar> AllocationNetwork<S> {
     /// any existing flow, and return the **total** flow now leaving the
     /// source.
     pub fn run_max_flow(&mut self) -> S {
-        dinic::max_flow_with(&mut self.net, self.source, self.sink, &mut self.scratch);
+        dinic::max_flow(&mut self.net, SOURCE, SINK);
         self.total_flow()
     }
 
@@ -305,10 +281,9 @@ impl<S: Scalar> AllocationNetwork<S> {
     /// (i.e. the violating set when the current level is infeasible), into
     /// a caller-provided buffer (resized to the job count).
     pub fn source_side_jobs_into(&mut self, out: &mut Vec<bool>) {
-        self.net
-            .residual_reachable_with(self.source, &mut self.scratch);
+        self.net.residual_reachable(SOURCE);
         out.clear();
-        out.extend((0..self.n_jobs).map(|j| self.scratch.is_seen(job_node(j) as usize)));
+        out.extend((0..self.n_jobs).map(|j| self.net.is_seen(job_node(j))));
     }
 
     /// After a max flow: which job nodes and which site nodes still have a
@@ -318,14 +293,12 @@ impl<S: Scalar> AllocationNetwork<S> {
     /// set can never absorb more flow at any higher water level, which is
     /// what licenses contracting them out of the network.
     pub fn sink_reachability_into(&mut self, jobs: &mut Vec<bool>, sites: &mut Vec<bool>) {
-        self.net
-            .residual_coreachable_with(self.sink, &mut self.scratch);
+        self.net.residual_coreachable(SINK);
         let n_jobs = self.n_jobs;
         jobs.clear();
-        jobs.extend((0..n_jobs).map(|j| self.scratch.is_seen(job_node(j) as usize)));
+        jobs.extend((0..n_jobs).map(|j| self.net.is_seen(job_node(j))));
         sites.clear();
-        sites
-            .extend((0..self.n_sites).map(|s| self.scratch.is_seen(site_node(n_jobs, s) as usize)));
+        sites.extend((0..self.n_sites).map(|s| self.net.is_seen(site_node(n_jobs, s))));
     }
 
     /// Drain job `j`'s flow down to at most `cap`, then set its source cap
@@ -641,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_moves_between_networks() {
+    fn rebuild_keeps_buffers_and_counters() {
         let demands = vec![vec![4.0, 4.0], vec![4.0, 4.0]];
         let caps = [4.0, 4.0];
         let mut net = AllocationNetwork::new(&demands, &caps);
@@ -650,14 +623,15 @@ mod tests {
         net.run_max_flow();
         let visited = net.scratch().edges_visited();
         assert!(visited > 0);
-        let scratch = net.take_scratch();
-        // Successor network inherits buffers and counters.
-        let mut small =
-            AllocationNetwork::new_sparse_with_scratch(&[0, 1], &[(0, 4.0)], &[4.0], scratch);
-        small.set_job_cap(0, 4.0);
-        small.run_max_flow();
-        assert!(small.scratch().edges_visited() > visited);
-        assert!(small.scratch().reuse_hits() >= 1);
+        // Rebuilt smaller in place: same buffers, counters keep counting.
+        net.rebuild_sparse(&[0, 1], &[(0, 4.0)], &[4.0]);
+        assert_eq!(net.total_flow(), 0.0, "a rebuild starts without flow");
+        net.set_job_cap(0, 4.0);
+        assert_eq!(net.run_max_flow(), 4.0);
+        assert_eq!(net.split_matrix(), vec![vec![4.0]]);
+        assert!(net.scratch().edges_visited() > visited);
+        assert!(net.scratch().reuse_hits() >= 1);
+        assert_eq!(net.scratch().csr_rebuilds(), 2);
     }
 
     #[test]
@@ -682,12 +656,7 @@ mod tests {
             offsets.push(entries.len());
         }
         let mut dense = AllocationNetwork::new(&demands, &caps);
-        let mut sparse = AllocationNetwork::new_sparse_with_scratch(
-            &offsets,
-            &entries,
-            &caps,
-            FlowScratch::new(),
-        );
+        let mut sparse = AllocationNetwork::new_sparse(&offsets, &entries, &caps);
         assert_eq!(open_demand_edges(&sparse), open_demand_edges(&dense));
         for net in [&mut dense, &mut sparse] {
             for j in 0..3 {

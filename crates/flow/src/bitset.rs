@@ -16,8 +16,8 @@
 #[derive(Debug, Clone, Default)]
 pub struct BitSet {
     words: Vec<u64>,
-    /// Words zeroed by [`reset`](Self::reset) since construction (or the
-    /// last counter reset) — the cost of frontier clears, in words.
+    /// Words zeroed by [`reset`](Self::reset) since construction — the
+    /// cost of frontier clears, in words.
     words_cleared: u64,
 }
 
@@ -67,14 +67,9 @@ impl BitSet {
         self.words[i >> 6] &= !(1u64 << (i & 63));
     }
 
-    /// Words zeroed by `reset` calls since the last counter reset.
+    /// Words zeroed by `reset` calls since construction.
     pub fn words_cleared(&self) -> u64 {
         self.words_cleared
-    }
-
-    /// Zero the `words_cleared` diagnostic counter.
-    pub fn reset_counter(&mut self) {
-        self.words_cleared = 0;
     }
 }
 
@@ -113,8 +108,6 @@ mod tests {
         assert_eq!(b.words_cleared(), 2);
         b.reset(64); // shrink: only 1 word may be stale... but both exist
         assert_eq!(b.words_cleared(), 3);
-        b.reset_counter();
-        assert_eq!(b.words_cleared(), 0);
     }
 
     #[test]

@@ -8,16 +8,13 @@
 //! every aggregate allocation exactly, and which the AMF solver's warm
 //! starts rely on.
 //!
-//! The kernel traverses the CSR adjacency view cached in the scratch
-//! (rebuilt only when the network structure changed) and tracks level-graph
-//! membership in a word-packed [`BitSet`]: the BFS clears
-//! one bitset word per 64 nodes instead of refilling a `level` array, and
-//! the flat BFS queue doubles as the list of reached nodes, so per-phase
-//! setup touches only the reached subgraph.
-//!
-//! The kernel proper is [`max_flow_with`], which borrows its BFS/DFS
-//! working state from a [`FlowScratch`] so repeated calls allocate
-//! nothing; [`max_flow`] is the convenience form with a private arena.
+//! The kernel traverses the CSR adjacency view cached in the network's
+//! [`FlowScratch`] (rebuilt only when the network structure changed) and
+//! tracks level-graph membership in a word-packed [`BitSet`]: the BFS
+//! clears one bitset word per 64 nodes instead of refilling a `level`
+//! array, and the flat BFS queue doubles as the list of reached nodes, so
+//! per-phase setup touches only the reached subgraph. Its BFS/DFS working
+//! state is the network's own, so repeated calls allocate nothing.
 
 use crate::bitset::BitSet;
 use crate::graph::{Csr, FlowNetwork, NodeId};
@@ -28,27 +25,15 @@ use amf_numeric::{min2, Scalar};
 /// flow already present. Returns the **additional** flow pushed.
 ///
 /// The total flow out of the source after the call is
-/// `net.net_outflow(source)`.
-///
-/// Allocates a fresh [`FlowScratch`] per call; hot paths should hold one
-/// and call [`max_flow_with`].
+/// `net.net_outflow(source)`. Works in the network's own
+/// [`FlowScratch`]: zero allocations once it has grown to the network size.
 pub fn max_flow<S: Scalar>(net: &mut FlowNetwork<S>, source: NodeId, sink: NodeId) -> S {
-    let mut scratch = FlowScratch::new();
-    max_flow_with(net, source, sink, &mut scratch)
-}
-
-/// [`max_flow`] with caller-provided working memory: zero allocations once
-/// `scratch` has grown to the network size.
-pub fn max_flow_with<S: Scalar>(
-    net: &mut FlowNetwork<S>,
-    source: NodeId,
-    sink: NodeId,
-    scratch: &mut FlowScratch<S>,
-) -> S {
     assert!(source != sink, "max_flow: source == sink");
-    let n = net.node_count();
-    scratch.ensure_nodes(n);
-    net.ensure_csr(&mut scratch.csr);
+    net.ensure_csr();
+    // The kernel pushes flow on `net` while it uses the network's working
+    // memory, so it holds that memory by value for the run.
+    let mut work = std::mem::take(&mut net.work);
+    work.ensure_nodes(net.node_count());
     let FlowScratch {
         csr,
         level,
@@ -57,7 +42,7 @@ pub fn max_flow_with<S: Scalar>(
         seen,
         edges_visited,
         ..
-    } = scratch;
+    } = &mut work;
     let mut pushed = S::ZERO;
 
     while bfs_levels(
@@ -89,11 +74,12 @@ pub fn max_flow_with<S: Scalar>(
             pushed += f;
         }
     }
+    net.work = work;
     // The loop exits on a failed BFS, which marks exactly the nodes the
     // source can still reach in the residual graph — i.e. the source side
-    // of a minimum cut. Record that provenance so a follow-up
-    // `residual_reachable_with(source, ..)` is answered without traversal.
-    scratch.seen_key = net.sweep_key(source, false);
+    // of a minimum cut. Record it so a follow-up
+    // `residual_reachable(source)` is answered without traversal.
+    net.seen_sweep = Some((source, false));
     pushed
 }
 
@@ -275,9 +261,9 @@ mod tests {
         g.add_edge(1, 3, 10.0);
         g.add_edge(2, 3, 1.0);
         assert_eq!(max_flow(&mut g, 0, 3), 2.0);
-        let cut = g.residual_reachable(0);
-        assert!(cut[0] && cut[2]);
-        assert!(!cut[1] && !cut[3]);
+        g.residual_reachable(0);
+        assert!(g.is_seen(0) && g.is_seen(2));
+        assert!(!g.is_seen(1) && !g.is_seen(3));
     }
 
     #[test]
@@ -288,56 +274,53 @@ mod tests {
     }
 
     #[test]
-    fn shared_scratch_reuses_buffers_across_calls() {
-        let mut scratch: FlowScratch<f64> = FlowScratch::new();
-        for round in 0..4 {
-            let mut g: FlowNetwork<f64> = FlowNetwork::new(4);
-            g.add_edge(0, 1, 3.0);
-            g.add_edge(1, 3, 2.0);
-            g.add_edge(0, 2, 2.0);
-            g.add_edge(2, 3, 3.0);
-            let f = max_flow_with(&mut g, 0, 3, &mut scratch);
-            assert!((f - 4.0).abs() < 1e-12);
-            if round > 0 {
-                assert!(scratch.reuse_hits() >= round as u64);
-            }
-        }
-        assert!(scratch.edges_visited() > 0);
-        assert!(scratch.bitset_words_cleared() > 0);
-    }
-
-    #[test]
-    fn scratch_survives_networks_of_different_sizes() {
-        let mut scratch: FlowScratch<f64> = FlowScratch::new();
-        for n in [2usize, 8, 3, 6] {
-            let mut g: FlowNetwork<f64> = FlowNetwork::new(n);
+    fn rebuilt_network_reuses_its_buffers_at_any_size() {
+        let mut g: FlowNetwork<f64> = FlowNetwork::new(0);
+        for (round, n) in [8usize, 2, 6, 3].into_iter().enumerate() {
+            g.clear(n);
             for v in 0..n - 1 {
                 g.add_edge(v as NodeId, (v + 1) as NodeId, 1.0);
             }
-            assert_eq!(
-                max_flow_with(&mut g, 0, (n - 1) as NodeId, &mut scratch),
-                1.0
-            );
+            assert_eq!(max_flow(&mut g, 0, (n - 1) as NodeId), 1.0);
+            assert_eq!(g.scratch().reuse_hits(), round as u64);
         }
+        assert_eq!(g.scratch().csr_rebuilds(), 4, "one per structure");
+        assert!(g.scratch().edges_visited() > 0);
+        assert!(g.scratch().bitset_words_cleared() > 0);
     }
 
     #[test]
     fn csr_is_rebuilt_once_per_structure() {
-        let mut scratch: FlowScratch<f64> = FlowScratch::new();
         let mut g: FlowNetwork<f64> = FlowNetwork::new(3);
         g.add_edge(0, 1, 2.0);
         g.add_edge(1, 2, 2.0);
-        max_flow_with(&mut g, 0, 2, &mut scratch);
-        assert_eq!(scratch.csr_rebuilds(), 1);
+        max_flow(&mut g, 0, 2);
+        assert_eq!(g.scratch().csr_rebuilds(), 1);
         g.reset_flow();
-        max_flow_with(&mut g, 0, 2, &mut scratch);
+        max_flow(&mut g, 0, 2);
         assert_eq!(
-            scratch.csr_rebuilds(),
+            g.scratch().csr_rebuilds(),
             1,
             "re-solving an unchanged structure must reuse the CSR"
         );
         g.add_edge(0, 2, 1.0);
-        max_flow_with(&mut g, 0, 2, &mut scratch);
-        assert_eq!(scratch.csr_rebuilds(), 2);
+        max_flow(&mut g, 0, 2);
+        assert_eq!(g.scratch().csr_rebuilds(), 2);
+    }
+
+    #[test]
+    fn final_bfs_answers_the_source_sweep() {
+        let mut g: FlowNetwork<f64> = FlowNetwork::new(3);
+        g.add_edge(0, 1, 2.0);
+        g.add_edge(1, 2, 1.0);
+        max_flow(&mut g, 0, 2);
+        g.residual_reachable(0);
+        assert_eq!(g.scratch().seen_sweeps_skipped(), 1);
+        assert!(g.is_seen(0) && g.is_seen(1) && !g.is_seen(2));
+        // Any flow change forgets the sweep.
+        g.reset_flow();
+        g.residual_reachable(0);
+        assert_eq!(g.scratch().seen_sweeps_skipped(), 1);
+        assert!(g.is_seen(2));
     }
 }

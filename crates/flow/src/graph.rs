@@ -7,15 +7,13 @@
 //! `to[e ^ 1]` — no separate `from` array. Adjacency is *not* stored as
 //! per-node `Vec`s: the kernels traverse a CSR view (`offsets` +
 //! `targets`, both `u32`) that is rebuilt by counting sort only when the
-//! structure changes. Every structural mutation stamps the network from a
-//! process-global counter, so a CSR view cached in a
-//! [`FlowScratch`](crate::FlowScratch) stays valid across any number of
-//! max flows, reachability sweeps, and capacity/flow updates — and is
-//! never mistaken for the view of a different network.
+//! structure changes. The view lives in the network's own
+//! [`FlowScratch`], so one flag — set by every structural mutation — is
+//! all it takes to keep it valid across any number of max flows,
+//! reachability sweeps, and capacity/flow updates.
 
 use crate::scratch::FlowScratch;
 use amf_numeric::Scalar;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Index of a node in a [`FlowNetwork`] (`u32`: node counts are bounded by
 /// `2 + jobs + sites`, far below 2^32, and half-width indices keep the CSR
@@ -28,27 +26,12 @@ pub type NodeId = u32;
 /// edge; `e ^ 1` is always its reverse (residual) companion.
 pub type EdgeId = u32;
 
-/// Source of globally unique network identities. Starts at 1 so an id of
-/// 0 in a cached CSR view always means "never built". Identity is taken
-/// once per network (creation, recycle, clone, salvage) so structural
-/// mutations on the hot path bump only a local version counter — no
-/// atomics per `add_edge`.
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_id() -> u64 {
-    NEXT_ID.fetch_add(1, Ordering::Relaxed)
-}
-
 /// A cached CSR (compressed sparse row) adjacency view of a
 /// [`FlowNetwork`]: `targets[offsets[v]..offsets[v + 1]]` are the ids of
 /// every edge slot leaving `v` (forward edges and residual companions),
 /// in ascending edge-id order — the same deterministic order the old
 /// adjacency-of-`Vec`s produced, so traversals are bit-for-bit stable.
-///
-/// Owned by [`FlowScratch`](crate::FlowScratch) so the buffers travel
-/// across network rebuilds; validity is tracked by the originating
-/// network's structure stamp.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Csr {
     /// `n + 1` prefix offsets into `targets`.
     pub(crate) offsets: Vec<u32>,
@@ -56,10 +39,6 @@ pub struct Csr {
     pub(crate) targets: Vec<u32>,
     /// Counting-sort cursors (reused between rebuilds).
     cursor: Vec<u32>,
-    /// Identity of the network this view was built from (0 = never built).
-    net_id: u64,
-    /// Structure version of that network at build time.
-    version: u64,
     /// Rebuilds performed (feeds `SolveStats::csr_rebuilds`).
     pub(crate) rebuilds: u64,
 }
@@ -72,25 +51,6 @@ impl Csr {
     }
 }
 
-/// Provenance of the `seen` bitset in a [`FlowScratch`](crate::FlowScratch):
-/// which network state and which sweep filled it. While the key matches the
-/// network's current `(id, version, flow_epoch)`, the bitset still holds a
-/// valid reachability answer and the sweep can be skipped — Dinic records a
-/// key for its final failed BFS, which *is* the source-side min-cut sweep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct SeenKey {
-    /// Network identity (0 = no valid sweep recorded).
-    pub(crate) net_id: u64,
-    /// Structure version at sweep time.
-    pub(crate) version: u64,
-    /// Flow epoch at sweep time.
-    pub(crate) flow_epoch: u64,
-    /// Sweep origin node.
-    pub(crate) node: u32,
-    /// `false` = reachable-from `node`, `true` = co-reachable-to `node`.
-    pub(crate) reverse: bool,
-}
-
 /// A directed flow network with residual edges, generic over the scalar.
 ///
 /// Storage is struct-of-arrays: `to[e]` is the head of edge `e`, `cap[e]`
@@ -98,30 +58,31 @@ pub(crate) struct SeenKey {
 /// [`FlowNetwork::add_edge`] inserts the forward edge and a zero-capacity
 /// reverse edge at consecutive indices, so residual bookkeeping is `e ^ 1`
 /// and the tail of `e` is `to[e ^ 1]`.
+///
+/// The network owns the kernels' working memory ([`FlowScratch`]) and
+/// keeps every buffer across [`clear`](Self::clear), so a caller that
+/// rebuilds one network over and over allocates nothing once the buffers
+/// have grown.
 #[derive(Debug)]
 pub struct FlowNetwork<S> {
     n_nodes: usize,
     to: Vec<u32>,
     cap: Vec<S>,
     flow: Vec<S>,
-    /// Globally unique identity (fresh per creation/recycle/clone).
-    id: u64,
-    /// Structure version, bumped by every structural mutation so cached
-    /// [`Csr`] views self-invalidate; an `(id, version)` pair never
-    /// revalidates against a different network.
-    version: u64,
-    /// Flow/capacity epoch, bumped by every residual-graph mutation
-    /// (`add_flow`, `remove_flow`, `set_capacity`, `reset_flow`). Lets a
-    /// [`FlowScratch`](crate::FlowScratch) prove its `seen` bitset still
-    /// holds a valid reachability sweep — in particular, Dinic's final
-    /// (failed) BFS *is* the source-side sweep of the min cut, so the
-    /// solver's follow-up `residual_reachable_with` call is free.
-    flow_epoch: u64,
+    /// The kernels' working memory, including the cached CSR view.
+    pub(crate) work: FlowScratch,
+    /// Whether `work.csr` lags the edge arena: set by every structural
+    /// mutation, cleared by the rebuild.
+    csr_stale: bool,
+    /// The sweep `work.seen` holds, as `(origin, reverse)`, while nothing
+    /// changed since: every flow, capacity or structure mutation resets it.
+    /// Dinic's final failed BFS sets it, because that BFS is the
+    /// source-side sweep of the minimum cut.
+    pub(crate) seen_sweep: Option<(NodeId, bool)>,
 }
 
-// Manual impl so a clone gets a fresh identity: two networks that diverge
-// structurally after a clone must never validate each other's cached CSR
-// views, even at equal version counts.
+// Manual impl so a clone starts with fresh working memory: a cold CSR
+// view, no recorded sweep and zeroed counters.
 impl<S: Clone> Clone for FlowNetwork<S> {
     fn clone(&self) -> Self {
         FlowNetwork {
@@ -129,9 +90,9 @@ impl<S: Clone> Clone for FlowNetwork<S> {
             to: self.to.clone(),
             cap: self.cap.clone(),
             flow: self.flow.clone(),
-            id: fresh_id(),
-            version: 0,
-            flow_epoch: 0,
+            work: FlowScratch::default(),
+            csr_stale: true,
+            seen_sweep: None,
         }
     }
 }
@@ -144,44 +105,26 @@ impl<S: Scalar> FlowNetwork<S> {
             to: Vec::new(),
             cap: Vec::new(),
             flow: Vec::new(),
-            id: fresh_id(),
-            version: 0,
-            flow_epoch: 0,
+            work: FlowScratch::default(),
+            csr_stale: true,
+            seen_sweep: None,
         }
     }
 
-    /// [`new`](Self::new) reusing the edge-arena buffers salvaged into
-    /// `scratch` by a retired network (see
-    /// [`salvage_into`](Self::salvage_into)), so rebuild-heavy callers (the
-    /// solver's per-round contraction) allocate nothing in steady state.
-    pub fn new_reusing(n: usize, scratch: &mut FlowScratch<S>) -> Self {
-        let (mut to, mut cap, mut flow) = scratch.take_edge_buffers();
-        to.clear();
-        cap.clear();
-        flow.clear();
-        FlowNetwork {
-            n_nodes: n,
-            to,
-            cap,
-            flow,
-            id: fresh_id(),
-            version: 0,
-            flow_epoch: 0,
-        }
+    /// Remove every edge and resize to `n` nodes, keeping every buffer
+    /// (the edge arena and the working memory) for the edges added next.
+    pub fn clear(&mut self, n: usize) {
+        self.n_nodes = n;
+        self.to.clear();
+        self.cap.clear();
+        self.flow.clear();
+        self.csr_stale = true;
+        self.seen_sweep = None;
     }
 
-    /// Move the edge-arena buffers into `scratch` for a successor network
-    /// to reuse. The network is left edgeless and must not be used again —
-    /// call this only when retiring it.
-    pub fn salvage_into(&mut self, scratch: &mut FlowScratch<S>) {
-        scratch.store_edge_buffers(
-            std::mem::take(&mut self.to),
-            std::mem::take(&mut self.cap),
-            std::mem::take(&mut self.flow),
-        );
-        self.id = fresh_id();
-        self.version = 0;
-        self.flow_epoch = 0;
+    /// The working memory of the kernels, for reading its counters.
+    pub fn scratch(&self) -> &FlowScratch {
+        &self.work
     }
 
     /// Number of nodes.
@@ -197,7 +140,8 @@ impl<S: Scalar> FlowNetwork<S> {
     /// Append a node, returning its id.
     pub fn add_node(&mut self) -> NodeId {
         self.n_nodes += 1;
-        self.version += 1;
+        self.csr_stale = true;
+        self.seen_sweep = None;
         (self.n_nodes - 1) as NodeId
     }
 
@@ -220,17 +164,20 @@ impl<S: Scalar> FlowNetwork<S> {
         self.to.push(from);
         self.cap.push(S::ZERO);
         self.flow.push(S::ZERO);
-        self.version += 1;
+        self.csr_stale = true;
+        self.seen_sweep = None;
         id as EdgeId
     }
 
-    /// Make `csr` a valid adjacency view of this network, rebuilding by
-    /// counting sort only when the structure `(id, version)` moved.
-    /// O(V + E) on a rebuild, O(1) on a cache hit.
-    pub(crate) fn ensure_csr(&self, csr: &mut Csr) {
-        if csr.net_id == self.id && csr.version == self.version {
+    /// Make `work.csr` a valid adjacency view of this network, rebuilding
+    /// by counting sort only when the structure changed since the last
+    /// rebuild. O(V + E) on a rebuild, O(1) otherwise.
+    pub(crate) fn ensure_csr(&mut self) {
+        if !self.csr_stale {
             return;
         }
+        self.csr_stale = false;
+        let csr = &mut self.work.csr;
         csr.rebuilds += 1;
         let n = self.n_nodes;
         let m = self.to.len();
@@ -251,20 +198,6 @@ impl<S: Scalar> FlowNetwork<S> {
             let v = self.to[e ^ 1] as usize;
             csr.targets[csr.cursor[v] as usize] = e as u32;
             csr.cursor[v] += 1;
-        }
-        csr.net_id = self.id;
-        csr.version = self.version;
-    }
-
-    /// The [`SeenKey`] describing a sweep of this network's current state.
-    #[inline]
-    pub(crate) fn sweep_key(&self, node: NodeId, reverse: bool) -> SeenKey {
-        SeenKey {
-            net_id: self.id,
-            version: self.version,
-            flow_epoch: self.flow_epoch,
-            node,
-            reverse,
         }
     }
 
@@ -298,7 +231,7 @@ impl<S: Scalar> FlowNetwork<S> {
             "set_capacity below current flow; reset_flow first"
         );
         self.cap[e as usize] = cap;
-        self.flow_epoch += 1;
+        self.seen_sweep = None;
     }
 
     /// Zero all flows, keeping capacities.
@@ -306,7 +239,7 @@ impl<S: Scalar> FlowNetwork<S> {
         for f in &mut self.flow {
             *f = S::ZERO;
         }
-        self.flow_epoch += 1;
+        self.seen_sweep = None;
     }
 
     /// Push `amount` of flow along edge `e` (and pull it on `e ^ 1`).
@@ -325,7 +258,7 @@ impl<S: Scalar> FlowNetwork<S> {
         );
         self.flow[e] = new;
         self.flow[e ^ 1] -= amount;
-        self.flow_epoch += 1;
+        self.seen_sweep = None;
     }
 
     /// Cancel `amount` of flow on edge `e` (and restore it on `e ^ 1`) —
@@ -345,7 +278,7 @@ impl<S: Scalar> FlowNetwork<S> {
         );
         self.flow[e] -= amount;
         self.flow[e ^ 1] += amount;
-        self.flow_epoch += 1;
+        self.seen_sweep = None;
     }
 
     /// Head node of edge `e`.
@@ -381,93 +314,67 @@ impl<S: Scalar> FlowNetwork<S> {
         total
     }
 
-    /// Nodes reachable from `src` in the residual graph (residual > eps).
-    /// After a max-flow this is the source side of a minimum cut.
-    ///
-    /// Convenience form that allocates a private scratch; the solver hot
-    /// path uses [`residual_reachable_with`](Self::residual_reachable_with).
-    pub fn residual_reachable(&self, src: NodeId) -> Vec<bool> {
-        let mut scratch = FlowScratch::new();
-        self.residual_reachable_with(src, &mut scratch);
-        (0..self.n_nodes).map(|v| scratch.seen.get(v)).collect()
-    }
-
-    /// Mark the nodes reachable from `src` in the residual graph into
-    /// `scratch.seen` (readable via [`FlowScratch::is_seen`]) — the
-    /// allocation-free form the solver hot path uses. Uses the cached CSR
-    /// view and bitset frontier in `scratch`.
-    pub fn residual_reachable_with(&self, src: NodeId, scratch: &mut FlowScratch<S>) {
-        let key = self.sweep_key(src, false);
-        if scratch.seen_key == key {
-            // `seen` already holds this exact sweep (typically left behind
-            // by Dinic's final failed BFS); nothing to do.
-            scratch.seen_sweeps_skipped += 1;
-            return;
-        }
-        self.ensure_csr(&mut scratch.csr);
-        let FlowScratch {
-            csr,
-            seen,
-            stack,
-            edges_visited,
-            ..
-        } = scratch;
-        seen.reset(self.n_nodes);
-        stack.clear();
-        stack.push(src);
-        seen.set(src as usize);
-        while let Some(v) = stack.pop() {
-            let (lo, hi) = csr.range(v as usize);
-            *edges_visited += (hi - lo) as u64;
-            for &e in &csr.targets[lo..hi] {
-                let to = self.to[e as usize] as usize;
-                if !seen.get(to) && self.residual(e).is_positive() {
-                    seen.set(to);
-                    stack.push(to as u32);
-                }
-            }
-        }
-        scratch.seen_key = key;
+    /// Mark the nodes reachable from `src` in the residual graph (residual
+    /// above eps); read the marks with [`is_seen`](Self::is_seen). After a
+    /// max flow this is the source side of a minimum cut.
+    pub fn residual_reachable(&mut self, src: NodeId) {
+        self.sweep(src, false);
     }
 
     /// Mark the nodes with a residual path **to** `dst` (reverse sweep over
-    /// residual companions) into `scratch.seen`. After a max flow with
-    /// `dst = sink`, a node outside this set can never receive more flow —
-    /// the structural fact behind both bottleneck freezing and network
-    /// contraction in the AMF solver.
-    pub fn residual_coreachable_with(&self, dst: NodeId, scratch: &mut FlowScratch<S>) {
-        let key = self.sweep_key(dst, true);
-        if scratch.seen_key == key {
-            scratch.seen_sweeps_skipped += 1;
+    /// residual companions); read the marks with [`is_seen`](Self::is_seen).
+    /// After a max flow with `dst = sink`, a node outside this set can never
+    /// receive more flow — the structural fact behind both bottleneck
+    /// freezing and network contraction in the AMF solver.
+    pub fn residual_coreachable(&mut self, dst: NodeId) {
+        self.sweep(dst, true);
+    }
+
+    /// Whether node `v` was marked by the last
+    /// [`residual_reachable`](Self::residual_reachable) or
+    /// [`residual_coreachable`](Self::residual_coreachable) sweep.
+    #[inline]
+    pub fn is_seen(&self, v: NodeId) -> bool {
+        self.work.seen.get(v as usize)
+    }
+
+    /// Depth-first residual sweep from `origin` over the cached CSR view,
+    /// marking `work.seen`. Forward, node `u` is marked through a residual
+    /// arc `v → u`; in `reverse`, through a residual arc `u → v` (the
+    /// companion of the slot leaving `v`). Skipped when `work.seen` already
+    /// holds this sweep of the current network state (typically left
+    /// behind by Dinic's final failed BFS).
+    fn sweep(&mut self, origin: NodeId, reverse: bool) {
+        if self.seen_sweep == Some((origin, reverse)) {
+            self.work.seen_sweeps_skipped += 1;
             return;
         }
-        self.ensure_csr(&mut scratch.csr);
+        self.ensure_csr();
         let FlowScratch {
             csr,
             seen,
             stack,
             edges_visited,
             ..
-        } = scratch;
+        } = &mut self.work;
+        let flip = usize::from(reverse);
         seen.reset(self.n_nodes);
         stack.clear();
-        stack.push(dst);
-        seen.set(dst as usize);
+        stack.push(origin);
+        seen.set(origin as usize);
         while let Some(v) = stack.pop() {
-            // Arcs into `v` are the companions (`e ^ 1`) of arcs leaving it:
-            // `u` reaches `dst` iff some residual arc u→v exists with `v`
-            // already known to reach `dst`.
             let (lo, hi) = csr.range(v as usize);
             *edges_visited += (hi - lo) as u64;
             for &e in &csr.targets[lo..hi] {
                 let u = self.to[e as usize] as usize;
-                if !seen.get(u) && self.residual(e ^ 1).is_positive() {
+                let arc = e as usize ^ flip;
+                if !seen.get(u) && (self.cap[arc] - self.flow[arc]).is_positive() {
                     seen.set(u);
                     stack.push(u as u32);
                 }
             }
         }
-        scratch.seen_key = key;
+        self.seen_sweep = Some((origin, reverse));
     }
 
     /// Reconstruct the per-node adjacency lists (edge ids leaving each
@@ -544,10 +451,10 @@ mod tests {
         let e01 = g.add_edge(0, 1, 1.0);
         let _e12 = g.add_edge(1, 2, 1.0);
         g.add_flow(e01, 1.0);
-        let seen = g.residual_reachable(0);
-        assert!(seen[0]);
-        assert!(!seen[1], "saturated edge must block reachability");
-        assert!(!seen[2]);
+        g.residual_reachable(0);
+        assert!(g.is_seen(0));
+        assert!(!g.is_seen(1), "saturated edge must block reachability");
+        assert!(!g.is_seen(2));
     }
 
     #[test]
@@ -555,36 +462,22 @@ mod tests {
         let mut g: FlowNetwork<f64> = FlowNetwork::new(3);
         g.add_edge(0, 1, 1.0);
         g.add_edge(1, 2, 2.0);
-        let mut csr = Csr::default();
-        g.ensure_csr(&mut csr);
-        assert_eq!(csr.rebuilds, 1);
+        g.ensure_csr();
+        assert_eq!(g.scratch().csr_rebuilds(), 1);
         // Flow and capacity updates do not invalidate the view.
         g.add_flow(0, 1.0);
         g.set_capacity(2, 3.0);
         g.reset_flow();
-        g.ensure_csr(&mut csr);
-        assert_eq!(csr.rebuilds, 1, "non-structural updates reuse the CSR");
+        g.ensure_csr();
+        assert_eq!(
+            g.scratch().csr_rebuilds(),
+            1,
+            "non-structural updates reuse the CSR"
+        );
         // A structural change rebuilds it.
         g.add_edge(0, 2, 1.0);
-        g.ensure_csr(&mut csr);
-        assert_eq!(csr.rebuilds, 2);
-    }
-
-    #[test]
-    fn csr_never_aliases_across_networks() {
-        let g1: FlowNetwork<f64> = FlowNetwork::new(2);
-        let mut g2: FlowNetwork<f64> = FlowNetwork::new(2);
-        g2.add_edge(0, 1, 1.0);
-        let mut csr = Csr::default();
-        g1.ensure_csr(&mut csr);
-        let after_g1 = csr.rebuilds;
-        g2.ensure_csr(&mut csr);
-        assert_eq!(
-            csr.rebuilds,
-            after_g1 + 1,
-            "a different network must rebuild the view even at equal age"
-        );
-        assert_eq!(csr.targets.len(), 2);
+        g.ensure_csr();
+        assert_eq!(g.scratch().csr_rebuilds(), 2);
     }
 
     #[test]
@@ -593,28 +486,36 @@ mod tests {
         g.add_edge(0, 1, 1.0);
         g.add_edge(2, 0, 2.0);
         g.add_edge(0, 3, 3.0);
-        let mut csr = Csr::default();
-        g.ensure_csr(&mut csr);
+        g.ensure_csr();
         let adj = g.adjacency();
         for v in 0..4usize {
-            let (lo, hi) = csr.range(v);
-            assert_eq!(&csr.targets[lo..hi], adj[v].as_slice(), "node {v}");
+            let (lo, hi) = g.work.csr.range(v);
+            assert_eq!(&g.work.csr.targets[lo..hi], adj[v].as_slice(), "node {v}");
         }
         // Node 0: forward edges 0 and 4, plus companion 3 of edge 2→0.
         assert_eq!(adj[0], vec![0, 3, 4]);
     }
 
     #[test]
-    fn salvage_and_reuse_recycles_edge_buffers() {
-        let mut scratch: FlowScratch<f64> = FlowScratch::new();
+    fn clear_keeps_buffers_and_starts_clean() {
         let mut g: FlowNetwork<f64> = FlowNetwork::new(2);
-        g.add_edge(0, 1, 5.0);
-        g.salvage_into(&mut scratch);
-        assert_eq!(g.edge_count(), 0, "salvaged network is edgeless");
-        let mut g2: FlowNetwork<f64> = FlowNetwork::new_reusing(3, &mut scratch);
-        assert_eq!(g2.edge_count(), 0);
-        let e = g2.add_edge(0, 2, 7.0);
-        assert_eq!(g2.capacity(e), 7.0);
-        assert_eq!(g2.flow(e), 0.0, "recycled buffers start clean");
+        let e = g.add_edge(0, 1, 5.0);
+        g.add_flow(e, 5.0);
+        g.residual_reachable(0);
+        assert!(!g.is_seen(1));
+        let arena = g.to.capacity();
+        g.clear(3);
+        assert_eq!(g.edge_count(), 0, "cleared network is edgeless");
+        assert_eq!(g.node_count(), 3);
+        assert_eq!(g.to.capacity(), arena, "clear keeps the edge arena");
+        let e = g.add_edge(0, 2, 7.0);
+        assert_eq!(g.capacity(e), 7.0);
+        assert_eq!(g.flow(e), 0.0, "rebuilt edges start without flow");
+        // The sweep is not answered from the pre-clear marks, and it lowers
+        // the new structure once.
+        g.residual_reachable(0);
+        assert!(g.is_seen(2));
+        assert_eq!(g.scratch().seen_sweeps_skipped(), 0);
+        assert_eq!(g.scratch().csr_rebuilds(), 2);
     }
 }

@@ -12,14 +12,17 @@
 //! This crate provides:
 //!
 //! * [`FlowNetwork`] — a residual-graph representation generic over the
-//!   [`Scalar`](amf_numeric::Scalar) numeric type (exact or `f64`);
+//!   [`Scalar`](amf_numeric::Scalar) numeric type (exact or `f64`), with
+//!   residual reachability sweeps;
 //! * [`dinic::max_flow`] — Dinic's algorithm (strongly polynomial, supports
 //!   warm starts from an existing feasible flow);
-//! * [`FlowScratch`] — a reusable arena for the kernels' per-node working
-//!   state (including the cached CSR adjacency view and the [`BitSet`]
-//!   frontiers), making repeated max flows allocation-free;
+//! * [`FlowScratch`] — the kernels' per-node working state (including the
+//!   cached CSR adjacency view and the [`BitSet`] frontiers) and its work
+//!   counters. Each network owns one and keeps it across
+//!   [`FlowNetwork::clear`], so repeated max flows and rebuilds are
+//!   allocation-free;
 //! * [`AllocationNetwork`] — the jobs-by-sites convenience wrapper the AMF
-//!   solver drives.
+//!   solver drives, rebuilt in place as the solver contracts it.
 //!
 //! Edge storage is a flat struct-of-arrays arena with `u32` ids; adjacency
 //! is a CSR view rebuilt only when the structure changes (see

@@ -2,14 +2,15 @@
 //! edge arena it is lowered from.
 //!
 //! The kernels never walk the arena directly — they traverse the CSR
-//! snapshot cached in [`FlowScratch`] — so these tests drive random build
+//! snapshot cached in the network's working memory — so these tests drive
+//! random build
 //! and delta sequences through both representations and demand agreement
 //! on everything observable: the per-node edge multiset, residual
 //! reachability, and the max-flow value, which must equal the capacity of
 //! the model's residual-reachable cut, for `f64` and exact [`Rational`]
 //! scalars alike.
 
-use amf_flow::{dinic, EdgeId, FlowNetwork, FlowScratch, NodeId};
+use amf_flow::{dinic, EdgeId, FlowNetwork, NodeId};
 use amf_numeric::{Rational, Scalar};
 use proptest::prelude::*;
 
@@ -128,11 +129,10 @@ fn check_scenario<S: Scalar>(n: usize, edges: &[(usize, usize, i64)], deltas: &[
         net.add_edge(a as NodeId, b as NodeId, S::from_ratio(c, 1));
         model.arcs.push((a, b));
     }
-    let mut scratch: FlowScratch<S> = FlowScratch::new();
-    check_state(&net, &model);
-    run_kernels(&mut net, &mut scratch, &model);
+    check_state(&mut net, &model);
+    run_kernels(&mut net, &model);
     prop_assert_eq!(
-        scratch.csr_rebuilds(),
+        net.scratch().csr_rebuilds(),
         1,
         "first kernel run lowers the arena once"
     );
@@ -164,18 +164,19 @@ fn check_scenario<S: Scalar>(n: usize, edges: &[(usize, usize, i64)], deltas: &[
                 false
             }
         };
-        check_state(&net, &model);
         // Capacity and flow deltas must be served from the cached CSR; only
-        // structural deltas may trigger a rebuild (exactly one).
-        let rebuilds_before = scratch.csr_rebuilds();
-        run_kernels(&mut net, &mut scratch, &model);
-        let rebuilt = scratch.csr_rebuilds() - rebuilds_before;
+        // structural deltas may trigger a rebuild (exactly one, however
+        // many sweeps and max flows follow).
+        let rebuilds_before = net.scratch().csr_rebuilds();
+        check_state(&mut net, &model);
+        run_kernels(&mut net, &model);
+        let rebuilt = net.scratch().csr_rebuilds() - rebuilds_before;
         prop_assert_eq!(rebuilt, u64::from(structural), "delta {:?}", d);
     }
 }
 
 /// The structural agreement checks for one network state.
-fn check_state<S: Scalar>(net: &FlowNetwork<S>, model: &Model) {
+fn check_state<S: Scalar>(net: &mut FlowNetwork<S>, model: &Model) {
     // Edge multiset: the arena's reconstructed adjacency must equal the
     // model's, node by node, in ascending id order.
     prop_assert_eq!(net.edge_count(), model.arcs.len() * 2);
@@ -187,20 +188,24 @@ fn check_state<S: Scalar>(net: &FlowNetwork<S>, model: &Model) {
     // Residual reachability from every node: the CSR-driven sweep inside
     // `residual_reachable` must mark exactly the model-BFS set.
     for src in 0..model.n_nodes {
-        let got = net.residual_reachable(src as NodeId);
+        net.residual_reachable(src as NodeId);
+        let got: Vec<bool> = (0..model.n_nodes)
+            .map(|v| net.is_seen(v as NodeId))
+            .collect();
         let want = model.residual_reachable(net, src);
         prop_assert_eq!(&got, &want, "reachability from {} diverged", src);
     }
 }
 
-/// Kernel checks for the current state: Dinic through the persistent
-/// scratch (on the arena itself, so CSR cache hits/misses are observable)
-/// vs cold Dinic on a clone starting from identical flow, and the total
+/// Kernel checks for the current state: Dinic on the network itself (whose
+/// working memory persists, so CSR cache hits/misses are observable) vs
+/// cold Dinic on a clone starting from identical flow, and the total
 /// source outflow against the model's min-cut capacity (max-flow/min-cut
 /// duality certifies it optimal).
-fn run_kernels<S: Scalar>(net: &mut FlowNetwork<S>, scratch: &mut FlowScratch<S>, model: &Model) {
+fn run_kernels<S: Scalar>(net: &mut FlowNetwork<S>, model: &Model) {
     let mut cold = net.clone();
-    let warm_v = dinic::max_flow_with(net, 0, 1, scratch);
+    prop_assert_eq!(cold.scratch().csr_rebuilds(), 0, "a clone starts cold");
+    let warm_v = dinic::max_flow(net, 0, 1);
     let cold_v = dinic::max_flow(&mut cold, 0, 1);
     // Dinic augments on top of whatever flow the previous round left, so
     // the two Dinic paths are compared on the additional flow.

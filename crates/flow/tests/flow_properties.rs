@@ -45,12 +45,13 @@ proptest! {
         prop_assert_eq!(g.net_outflow(0), flow);
         prop_assert_eq!(g.net_outflow(1), -flow);
         // Duality: sum capacities of edges crossing the reachability cut.
-        let side = g.residual_reachable(0);
-        prop_assert!(side[0]);
-        prop_assert!(!side[1], "sink reachable after max flow");
+        g.residual_reachable(0);
+        let side = |v: usize| g.is_seen(v as u32);
+        prop_assert!(side(0));
+        prop_assert!(!side(1), "sink reachable after max flow");
         let mut cut = Rational::ZERO;
         for &(a, b, c) in &edges {
-            if side[a] && !side[b] {
+            if side(a) && !side(b) {
                 cut += Rational::from_int(c as i128);
             }
         }

@@ -14,10 +14,11 @@
 //! * `RemoveJob` of a live job: any staged demand changes for that job are
 //!   dropped (the remove subsumes them).
 //!
-//! Validation runs *eagerly* against the "session ⊕ staged batch" view, so
-//! a client gets `DuplicateJob`/`UnknownJob`/… at `ApplyDeltas` time, not
-//! at the next `Solve` — the same errors, at the same point in the stream,
-//! as a session applying every delta immediately.
+//! Validation runs *eagerly*: the session's own [`Delta::check`] against
+//! the "session ⊕ staged batch" view, so a client gets
+//! `DuplicateJob`/`UnknownJob`/… at `ApplyDeltas` time, not at the next
+//! `Solve` — the same errors, at the same point in the stream, as a
+//! session applying every delta immediately.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -92,30 +93,17 @@ impl<S: Scalar> DeltaBatch<S> {
         self.ops.len() - 1
     }
 
-    /// Stage `delta`, validating it against `session` as if every staged
-    /// op had already been applied. On `Err` the batch is unchanged.
+    /// Stage `delta`, validating it with [`Delta::check`] against `session`
+    /// as if every staged op had already been applied. On `Err` the batch
+    /// is unchanged.
     pub fn push(&mut self, session: &IncrementalAmf<S>, delta: Delta<S>) -> Result<(), DeltaError> {
+        delta.check(session.n_sites(), |id| self.live_after(session, id))?;
         match delta {
             Delta::AddJob {
                 id,
                 demands,
                 weight,
             } => {
-                if self.live_after(session, id) {
-                    return Err(DeltaError::DuplicateJob { id });
-                }
-                if demands.len() != session.n_sites() {
-                    return Err(DeltaError::RaggedDemands {
-                        got: demands.len(),
-                        expected: session.n_sites(),
-                    });
-                }
-                if demands.iter().any(|d| *d < S::ZERO || !d.is_valid()) {
-                    return Err(DeltaError::InvalidValue { what: "demand" });
-                }
-                if !weight.is_positive() || !weight.is_valid() {
-                    return Err(DeltaError::InvalidValue { what: "weight" });
-                }
                 let pos = self.push_op(Delta::AddJob {
                     id,
                     demands,
@@ -128,8 +116,9 @@ impl<S: Scalar> DeltaBatch<S> {
                     // Staged add + remove cancel: neither reaches the session.
                     self.tombstone(pos);
                     self.coalesced += 2;
-                } else if session.contains(id) && !self.removed.contains(&id) {
-                    // Drop staged demand changes the remove subsumes.
+                } else {
+                    // Live in the session, not yet removed: drop staged
+                    // demand changes the remove subsumes.
                     let stale: Vec<(JobId, usize)> = self
                         .demand_idx
                         .range((id, 0)..=(id, usize::MAX))
@@ -145,23 +134,9 @@ impl<S: Scalar> DeltaBatch<S> {
                     }
                     self.push_op(Delta::RemoveJob { id });
                     self.removed.insert(id);
-                } else {
-                    return Err(DeltaError::UnknownJob { id });
                 }
             }
             Delta::DemandChange { id, site, demand } => {
-                if !self.live_after(session, id) {
-                    return Err(DeltaError::UnknownJob { id });
-                }
-                if site >= session.n_sites() {
-                    return Err(DeltaError::SiteOutOfRange {
-                        site,
-                        n_sites: session.n_sites(),
-                    });
-                }
-                if demand < S::ZERO || !demand.is_valid() {
-                    return Err(DeltaError::InvalidValue { what: "demand" });
-                }
                 if let Some(&pos) = self.add_idx.get(&id) {
                     // Fold into the staged add's demand row.
                     match self.ops[pos].as_mut() {
@@ -182,15 +157,6 @@ impl<S: Scalar> DeltaBatch<S> {
                 }
             }
             Delta::CapacityChange { site, capacity } => {
-                if site >= session.n_sites() {
-                    return Err(DeltaError::SiteOutOfRange {
-                        site,
-                        n_sites: session.n_sites(),
-                    });
-                }
-                if capacity < S::ZERO || !capacity.is_valid() {
-                    return Err(DeltaError::InvalidValue { what: "capacity" });
-                }
                 if let Some(&pos) = self.cap_idx.get(&site) {
                     match self.ops[pos].as_mut() {
                         Some(Delta::CapacityChange { capacity: c, .. }) => *c = capacity,

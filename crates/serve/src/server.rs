@@ -392,8 +392,9 @@ fn handle_solve<S: WireScalar>(
     shared: &Shared<S>,
     t: &mut Tenant<S>,
 ) -> Result<Response, Response> {
-    // Unreachable if batch validation mirrors the session exactly;
-    // surfaced as a typed error rather than trusted silently.
+    // Unreachable while the batch validates each delta with the session's
+    // own `Delta::check`; surfaced as a typed error rather than trusted
+    // silently.
     t.session
         .apply_all(t.batch.take())
         .map_err(|e| delta_err(&e))?;

@@ -23,7 +23,8 @@
 //!    allocation.
 
 use amf_core::water_fill_weighted_into;
-use amf_flow::{AllocationNetwork, FlowScratch};
+use amf_flow::AllocationNetwork;
+use amf_numeric::Scalar;
 
 /// How the engine splits aggregate allocations across sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -141,16 +142,26 @@ pub fn balanced_progress_split(
     for (v, &(_, d)) in x.iter_mut().zip(&support) {
         *v = v.min(d);
     }
+    // The water-fill can overshoot a row's aggregate by more than the
+    // network's tolerance, and the preload pushes a row's total onto the
+    // job's source edge, whose capacity is the aggregate: scale such a row
+    // back to it. The total is the preload's own sum (entries above
+    // tolerance, in site order), so rows the preload accepts are untouched.
+    for (j, &a) in aggregates.iter().enumerate() {
+        let row = &mut x[start[j]..start[j + 1]];
+        let total = row
+            .iter()
+            .filter(|&&v| Scalar::is_positive(v))
+            .fold(0.0, |t, &v| t + v);
+        if total.definitely_gt(a) {
+            row.iter_mut().for_each(|v| *v *= a / total);
+        }
+    }
 
     // Step 3: augment to restore the aggregates exactly. The network keeps
     // only the demands above the `1e-9` tolerance; the rates the support
     // holds beyond them are at most that small and are not preloaded.
-    let mut net = AllocationNetwork::new_sparse_with_scratch(
-        &start,
-        &support,
-        capacities,
-        FlowScratch::new(),
-    );
+    let mut net = AllocationNetwork::new_sparse(&start, &support, capacities);
     for (j, &a) in aggregates.iter().enumerate() {
         net.set_job_cap(j, a);
     }

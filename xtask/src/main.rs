@@ -118,8 +118,15 @@ fn usage() {
 }
 
 /// The workspace root: one level above this crate's manifest directory.
+///
+/// The directory is read at run time (`cargo run` sets
+/// `CARGO_MANIFEST_DIR` for the binary it starts), so a copy of the
+/// repository that reuses an xtask built in another checkout acts on its
+/// own tree; the compile-time value is only the fallback.
 fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
+    let manifest_dir =
+        env::var_os("CARGO_MANIFEST_DIR").unwrap_or_else(|| env!("CARGO_MANIFEST_DIR").into());
+    Path::new(&manifest_dir)
         .parent()
         .expect("xtask lives one level below the workspace root")
         .to_path_buf()
