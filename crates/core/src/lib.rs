@@ -37,8 +37,9 @@
 //!   Enhanced (sharing-incentive) modes;
 //! * [`PerSiteMaxMin`], [`EqualDivision`], [`ProportionalToDemand`],
 //!   [`pooled_max_min_bound`] — the baselines;
-//! * [`properties`] — Pareto efficiency, envy-freeness, sharing incentive
-//!   and strategy-proofness checkers;
+//! * [`properties`] — the leximin order and the strategy-proofness probe
+//!   (Pareto efficiency, envy-freeness and sharing incentive are certified
+//!   by `amf-audit`);
 //! * [`reference_aggregates`] — brute-force ground truth for small
 //!   instances;
 //! * [`water_fill`] / [`water_fill_weighted`] — conventional single-pool

@@ -107,8 +107,8 @@ pub struct FreezeRound<S> {
 }
 
 /// Work counters from one solver run: rounds, feasibility checks, network
-/// sizes and flow-kernel effort, as `bench_solver` and the event-loop
-/// benchmarks report them.
+/// sizes and flow-kernel effort, as the `amfbench` benchmark and
+/// `BENCH_online.json` report them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Progressive-filling rounds executed (each freezes >= 1 job).
@@ -117,10 +117,6 @@ pub struct SolveStats {
     pub dinkelbach_iterations: usize,
     /// Total max-flow computations, including any final split extraction.
     pub max_flows: usize,
-    /// Feasibility checks that could not keep the previous flow as-is,
-    /// because a job's cap fell below its warm flow. Only that job's
-    /// excess is drained; the rest of the warm flow survives.
-    pub flow_resets: usize,
     /// Network contractions performed: one after every round but the last.
     pub contractions: usize,
     /// Sum over rounds of the number of jobs still in the working network;
@@ -131,9 +127,6 @@ pub struct SolveStats {
     /// Residual-graph edge inspections performed by the flow kernels and
     /// reachability sweeps (from the [`FlowScratch`] counters).
     pub edges_visited: u64,
-    /// Times a kernel invocation found its scratch arena already sized —
-    /// i.e. ran allocation-free.
-    pub scratch_reuse_hits: u64,
     /// CSR adjacency rebuilds performed by the kernels — one per network
     /// structure actually traversed, however many max flows ran on it
     /// (from the [`FlowScratch`] counters).
@@ -172,7 +165,6 @@ impl SolveStats {
             .dinkelbach_iterations
             .saturating_add(other.dinkelbach_iterations);
         self.max_flows = self.max_flows.saturating_add(other.max_flows);
-        self.flow_resets = self.flow_resets.saturating_add(other.flow_resets);
         self.contractions = self.contractions.saturating_add(other.contractions);
         self.active_job_rounds = self
             .active_job_rounds
@@ -181,9 +173,6 @@ impl SolveStats {
             .active_site_rounds
             .saturating_add(other.active_site_rounds);
         self.edges_visited = self.edges_visited.saturating_add(other.edges_visited);
-        self.scratch_reuse_hits = self
-            .scratch_reuse_hits
-            .saturating_add(other.scratch_reuse_hits);
         self.csr_rebuilds = self.csr_rebuilds.saturating_add(other.csr_rebuilds);
         self.bitset_words_cleared = self
             .bitset_words_cleared
@@ -656,7 +645,6 @@ impl AmfSolver {
         }
 
         let edges0 = net.scratch().edges_visited();
-        let reuse0 = net.scratch().reuse_hits();
         let csr0 = net.scratch().csr_rebuilds();
         let words0 = net.scratch().bitset_words_cleared();
         net.rebuild_sparse(&cur.start, &cur.support, &cur.caps);
@@ -695,7 +683,7 @@ impl AmfSolver {
                 let t_star = loop {
                     stats.dinkelbach_iterations += 1;
                     stats.max_flows += 1;
-                    let (flow, target) = check_level(net, &caps, cur, t, &mut stats, us);
+                    let (flow, target) = check_level(net, &caps, cur, t, us);
                     if flow.approx_eq_rel(target) {
                         at_t_star = true;
                         break t;
@@ -750,7 +738,7 @@ impl AmfSolver {
                     // the loop exited on a lowered level without
                     // re-checking).
                     stats.max_flows += 1;
-                    let (flow, target) = check_level(net, &caps, cur, t_star, &mut stats, us);
+                    let (flow, target) = check_level(net, &caps, cur, t_star, us);
                     debug_assert!(
                         flow.approx_eq_rel(target),
                         "level t*={t_star} must be feasible (flow {flow}, target {target})"
@@ -912,7 +900,6 @@ impl AmfSolver {
 
         let scratch = net.scratch();
         stats.edges_visited = scratch.edges_visited() - edges0;
-        stats.scratch_reuse_hits = scratch.reuse_hits() - reuse0;
         stats.csr_rebuilds = scratch.csr_rebuilds() - csr0;
         stats.bitset_words_cleared = scratch.bitset_words_cleared() - words0;
 
@@ -962,7 +949,6 @@ fn check_level<S: Scalar>(
     caps: &[LevelCap<S>],
     active: &Active<S>,
     t: S,
-    stats: &mut SolveStats,
     us: &mut Vec<S>,
 ) -> (S, S) {
     us.clear();
@@ -974,18 +960,13 @@ fn check_level<S: Scalar>(
             .map(|(&j, &b)| max2(caps[j].at(t) - b, S::ZERO)),
     );
     let mut target = S::ZERO;
-    let mut repaired = false;
     for (i, &u) in us.iter().enumerate() {
         if u.definitely_lt(net.job_flow(i)) {
             net.drain_job_to_cap(i, u);
-            repaired = true;
         } else {
             net.set_job_cap(i, max2(u, net.job_flow(i)));
         }
         target += u;
-    }
-    if repaired {
-        stats.flow_resets += 1;
     }
     let flow = net.run_max_flow();
     (flow, target)

@@ -2,10 +2,10 @@
 
 /// A compensated accumulator for `f64`.
 ///
-/// The progressive-filling solver compares sums of hundreds of allocations
-/// against capacity bounds; naive summation loses enough precision to flip
-/// feasibility decisions near breakpoints. `KahanSum` keeps the error of the
-/// running sum below a few ULPs regardless of length.
+/// Naive summation of many values loses precision as the running sum
+/// grows; `KahanSum` keeps the error of the running sum below a few ULPs
+/// regardless of length. The fairness metrics use it; the solver does not
+/// (it sums plainly through [`sum`](crate::sum)).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KahanSum {
     sum: f64,

@@ -11,8 +11,9 @@
 //! * [`Scalar`] — the trait the solvers are generic over, with instances
 //!   for `f64` (fast, tolerance-based, used in large simulations) and
 //!   [`Rational`] (exact);
-//! * [`KahanSum`] — compensated summation for the `f64` paths, so that the
-//!   feasibility checks in the progressive-filling solver do not drift.
+//! * [`KahanSum`] — compensated summation for `f64`, used by the fairness
+//!   metrics and the SRPT-per-site baseline; the solver and its
+//!   feasibility checks sum plainly, in a fixed order, through [`sum`].
 //!
 //! Nothing in this crate is specific to fair allocation; it is a substrate.
 
@@ -27,8 +28,9 @@ pub use kahan::KahanSum;
 pub use rational::{ParseRationalError, Rational};
 pub use scalar::Scalar;
 
-/// Convenience: sum an iterator of scalars with the scalar's preferred
-/// accumulation strategy (compensated for `f64`, plain for exact types).
+/// Convenience: sum an iterator of scalars with a plain left-to-right loop
+/// (no compensation, for `f64` too), so the result depends only on the
+/// order of the items. Use [`KahanSum`] where `f64` drift matters.
 pub fn sum<S: Scalar>(iter: impl IntoIterator<Item = S>) -> S {
     let mut acc = S::ZERO;
     for v in iter {

@@ -115,9 +115,10 @@ impl Scalar for f64 {
 
     #[inline]
     fn eps() -> Self {
-        // The solvers normalize instances so that capacities and demands are
-        // O(1)..O(1e6); 1e-9 absolute tolerance keeps feasibility checks
-        // stable through the ~n rounds of progressive filling.
+        // An absolute tolerance: it suits capacities and demands of about
+        // O(1)..O(1e6). No solver normalizes its instance first
+        // (`Instance::normalized` exists but nothing calls it), so inputs
+        // far outside that range can misjudge feasibility.
         1e-9
     }
 

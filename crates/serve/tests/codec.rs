@@ -3,12 +3,17 @@
 //! replies over arbitrary finite floats round-trip and print every number
 //! as `Display` does, and malformed inputs of every flavour come back as
 //! *typed* errors — a hostile byte stream must never panic the decode path.
+//! A seeded `Solved` reply of `serve-large-tenants` size pins the encoder's
+//! exact bytes.
 
+use amf_core::{AmfSolver, Instance};
 use amf_serve::{
     decode_request, decode_response, encode, read_frame, write_frame, FrameError, ProtocolError,
     Request, Response, WireDelta, DEFAULT_MAX_FRAME,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Wire values must survive JSON text round-trips exactly; stick to
 /// integer-valued doubles scaled by powers of two (exactly representable
@@ -268,4 +273,64 @@ fn job_ids_decode_only_when_exact_and_in_range() {
             other => panic!("id {bad} must be rejected, got {other:?}"),
         }
     }
+}
+
+/// FNV-1a (64-bit) of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One seeded 150-job × 12-site `Solved` reply, the size
+/// `serve-large-tenants` ships. The demands are that workload's:
+/// Zipf-skewed rows over the sites, jittered by U(0.5, 1.5), with every
+/// capacity half its column's demand. The split is an enhanced AMF solve
+/// of them, so the reply's bytes move if the JSON writer's output or the
+/// solver's f64 output does.
+fn seeded_solved_reply(seed: u64) -> Response {
+    const JOBS: usize = 150;
+    const SITES: usize = 12;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let demands: Vec<Vec<f64>> = (0..JOBS)
+        .map(|_| {
+            let scale: f64 = rng.gen_range(5.0..30.0);
+            let offset = rng.gen_range(0..3usize);
+            (0..SITES)
+                .map(|s| {
+                    let rank = ((s + SITES - offset) % SITES) as f64;
+                    scale / (rank + 1.0).powf(1.2) * rng.gen_range(0.5..1.5)
+                })
+                .collect()
+        })
+        .collect();
+    let caps = (0..SITES)
+        .map(|s| 0.5 * demands.iter().map(|row| row[s]).sum::<f64>())
+        .collect();
+    let inst = Instance::new(caps, demands).expect("seeded demands are valid");
+    let out = AmfSolver::enhanced().solve(&inst);
+    Response::Solved {
+        job_ids: (0..JOBS as u64).collect(),
+        aggregates: out.allocation.aggregates().to_vec(),
+        split: out.allocation.split().to_vec(),
+        resolved: true,
+    }
+}
+
+#[test]
+fn seeded_large_solved_reply_bytes_are_pinned() {
+    let reply = seeded_solved_reply(10);
+    let bytes = encode(&reply);
+    assert_eq!(
+        decode_response(&bytes).expect("the reply decodes"),
+        reply,
+        "the reply does not survive a round trip"
+    );
+    assert_eq!(encode(&reply), bytes, "encoding is not deterministic");
+    assert_eq!(bytes.len(), 26_315, "reply length moved");
+    assert_eq!(
+        fnv1a(&bytes),
+        0xc0ba_be18_11ff_7147,
+        "reply bytes moved: the JSON writer's output or the solver's f64 output changed"
+    );
 }

@@ -11,19 +11,11 @@
 //!   `cargo doc --workspace --no-deps` with rustdoc warnings (dangling or
 //!   private intra-doc links, redundant link targets) denied.
 //! * `fmt` — apply rustfmt to the whole workspace.
-//! * `bench` — run the pinned solver benchmark (`bench_solver`) and the
-//!   serve load generator (`bench_serve`), both release profile, and
-//!   validate the `BENCH_solver.json` / `BENCH_serve.json` they write at
-//!   the workspace root. `--smoke` forwards the bins' quick mode for CI.
-//!   `--check` turns the run into a regression gate: reports are written
-//!   to `target/` instead, and compared against the committed baselines —
-//!   deterministic solver work counters and the serve codec reply's length
-//!   and hash must match exactly, and (full mode only) wall-clock ratios
-//!   must stay within the tolerance, default 1.25×,
-//!   overridable with `--tolerance X` or the `AMF_BENCH_TOLERANCE` env var.
-//!   Both modes also run the benchmark's traced `online-skewed` pass (seed
-//!   1, see [`ONLINE_ARGS`]) and record its deterministic work counters in
-//!   `BENCH_online.json`; `--check` requires them to equal the committed
+//! * `bench` — run the benchmark's traced `online-skewed` pass (seed 1,
+//!   see [`ONLINE_ARGS`]) in the release profile and record its
+//!   deterministic work counters in `BENCH_online.json` at the workspace
+//!   root. `--check` turns the run into a regression gate: the fresh report
+//!   goes to `target/` instead, and its counters must equal the committed
 //!   ones exactly.
 
 #![forbid(unsafe_code)]
@@ -38,8 +30,8 @@ fn main() -> ExitCode {
     match task.as_deref() {
         Some("lint") => lint(),
         Some("fmt") => fmt(),
-        Some("bench") => match BenchOptions::parse(env::args().skip(2)) {
-            Ok(opts) => bench(&opts),
+        Some("bench") => match check_flag(env::args().skip(2)) {
+            Ok(check) => bench(check),
             Err(msg) => {
                 eprintln!("xtask: {msg}");
                 usage();
@@ -58,62 +50,28 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parsed `cargo xtask bench` flags.
-struct BenchOptions {
-    smoke: bool,
-    check: bool,
-    tolerance: f64,
-}
-
-impl BenchOptions {
-    /// Parse flags; the regression tolerance resolves as
-    /// `--tolerance` > `AMF_BENCH_TOLERANCE` > 1.25.
-    fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let mut opts = BenchOptions {
-            smoke: false,
-            check: false,
-            tolerance: match env::var("AMF_BENCH_TOLERANCE") {
-                Ok(v) => v
-                    .parse::<f64>()
-                    .map_err(|_| format!("AMF_BENCH_TOLERANCE is not a number: {v:?}"))?,
-                Err(_) => 1.25,
-            },
-        };
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--smoke" => opts.smoke = true,
-                "--check" => opts.check = true,
-                "--tolerance" => {
-                    let v = args.next().ok_or("--tolerance requires a value")?;
-                    opts.tolerance = v
-                        .parse::<f64>()
-                        .map_err(|_| format!("--tolerance is not a number: {v:?}"))?;
-                }
-                other => return Err(format!("unknown bench flag {other}")),
-            }
+/// Parse `cargo xtask bench` flags: whether `--check` was given.
+fn check_flag(args: impl Iterator<Item = String>) -> Result<bool, String> {
+    let mut check = false;
+    for arg in args {
+        match arg.as_str() {
+            "--check" => check = true,
+            other => return Err(format!("unknown bench flag {other}")),
         }
-        if !(opts.tolerance.is_finite() && opts.tolerance >= 1.0) {
-            return Err(format!(
-                "tolerance must be a finite ratio >= 1.0, got {}",
-                opts.tolerance
-            ));
-        }
-        Ok(opts)
     }
+    Ok(check)
 }
 
 fn usage() {
-    eprintln!("usage: cargo xtask <lint|fmt|bench [--smoke] [--check] [--tolerance X]>");
+    eprintln!("usage: cargo xtask <lint|fmt|bench [--check]>");
     eprintln!(
         "  lint   run the static-analysis gate (rustfmt --check + clippy + rustdoc, -D warnings)"
     );
     eprintln!("  fmt    apply rustfmt to the workspace");
     eprintln!(
-        "  bench  run the solver benchmark, the serve load generator and the traced\n\
-         \x20        online-skewed pass, and validate their reports; --check gates against\n\
-         \x20        the committed BENCH_*.json baselines (tolerance 1.25x; override with\n\
-         \x20        --tolerance or AMF_BENCH_TOLERANCE)"
+        "  bench  run the benchmark's traced online-skewed pass and record its work\n\
+         \x20        counters in BENCH_online.json; --check requires them to equal the\n\
+         \x20        committed ones exactly"
     );
 }
 
@@ -243,113 +201,12 @@ fn lint() -> ExitCode {
     }
 }
 
-/// Keys every `BENCH_solver.json` must contain (schema
-/// `amf-bench-solver/v5`); checked textually so xtask stays
-/// dependency-free.
-const BENCH_SOLVER_KEYS: &[&str] = &[
-    "\"schema\"",
-    "\"amf-bench-solver/v5\"",
-    "\"sweep\"",
-    "\"contracted-dinic\"",
-    "\"legacy_full_baseline_ms\"",
-    "\"e8_400x20\"",
-    "\"batch\"",
-    "\"kernels\"",
-    "\"event_loop\"",
-    "\"ns_per_edge\"",
-    "\"csr_rebuilds\"",
-    "\"bitset_words_cleared\"",
-];
-
-/// Keys every `BENCH_serve.json` must contain (schema
-/// `amf-bench-serve/v3`).
-const BENCH_SERVE_KEYS: &[&str] = &[
-    "\"schema\"",
-    "\"amf-bench-serve/v3\"",
-    "\"hardware\"",
-    "\"closed_loop\"",
-    "\"open_loop\"",
-    "\"coalescing\"",
-    "\"codec\"",
-    "\"reply_bytes\"",
-    "\"reply_fnv\"",
-    "\"encode_us\"",
-    "\"throughput_rps\"",
-    "\"p50_us\"",
-    "\"p95_us\"",
-    "\"p99_us\"",
-    "\"solves_per_request\"",
-    "\"audit_violations\": 0",
-];
-
-/// Run one benchmark bin and validate the report it writes. Returns the
-/// report contents on success so `--check` can compare them.
-fn bench_bin(bin: &str, out: &Path, required: &[&str], smoke: bool) -> Option<String> {
-    let out_str = out.to_string_lossy().into_owned();
-    let mut args: Vec<&str> = vec!["run", "--release", "-p", "amf-bench", "--bin", bin, "--"];
-    if smoke {
-        args.push("--smoke");
-    }
-    args.extend_from_slice(&["--out", &out_str]);
-    if !run(&format!("{bin} (release)"), "cargo", &args) {
-        return None;
-    }
-    let json = match std::fs::read_to_string(out) {
-        Ok(s) if !s.trim().is_empty() => s,
-        Ok(_) => {
-            eprintln!("xtask: {} is empty", out.display());
-            return None;
-        }
-        Err(e) => {
-            eprintln!("xtask: benchmark report missing at {}: {e}", out.display());
-            return None;
-        }
-    };
-    for key in required {
-        if !json.contains(key) {
-            eprintln!("xtask: {} is malformed: missing {key}", out.display());
-            return None;
-        }
-    }
-    println!("==> benchmark report validated: {}", out.display());
-    Some(json)
-}
-
 /// First number following `"key":` in `json`, parsed leniently — enough
 /// for the reports our own serializer writes, keeping xtask dependency-free.
 fn extract_number(json: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{key}\":");
     let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Every number following `"key":` in `json`, in document order.
-fn extract_all_numbers(json: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        rest = &rest[at + needle.len()..];
-        if let Some(v) = extract_number_prefix(rest) {
-            out.push(v);
-        }
-    }
-    out
-}
-
-/// The JSON token (number or string, quotes kept) following `"key":`.
-fn extract_token<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let rest = json[json.find(&needle)? + needle.len()..].trim_start();
-    let end = match rest.strip_prefix('"') {
-        Some(body) => body.find('"')? + 2,
-        None => rest.find([',', '}', '\n']).unwrap_or(rest.len()),
-    };
-    Some(rest[..end].trim_end())
+    extract_number_prefix(&json[at..])
 }
 
 /// Parse the number at the start of `rest` (after optional whitespace).
@@ -361,118 +218,9 @@ fn extract_number_prefix(rest: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// The `sweep` section of a solver report (everything before the headline
-/// section): its work counters are deterministic for a fixed instance set,
-/// independent of rep count, and identical in smoke and full mode.
-fn sweep_section(json: &str) -> &str {
-    match json.find("\"e8_400x20\"") {
-        Some(end) => &json[..end],
-        None => json,
-    }
-}
-
-/// Compare a fresh solver report against the committed baseline.
-///
-/// Deterministic counters (sweep-section `rounds`, `max_flows`,
-/// `edges_visited`) must match the baseline exactly in every mode — a
-/// mismatch means the solver is doing different *work*, not that the
-/// machine is slow. Wall-clock gating (headline `contracted_ms`, event-loop
-/// `from_scratch_ms`) applies in full mode only;
-/// smoke timings are single-rep noise.
-fn check_solver(fresh: &str, baseline: &str, smoke: bool, tolerance: f64) -> bool {
-    let mut ok = true;
-    for key in ["rounds", "max_flows", "edges_visited"] {
-        let got = extract_all_numbers(sweep_section(fresh), key);
-        let want = extract_all_numbers(sweep_section(baseline), key);
-        if got != want {
-            eprintln!(
-                "xtask: bench --check: sweep counter {key:?} diverged from baseline\n  \
-                 baseline: {want:?}\n  fresh:    {got:?}"
-            );
-            ok = false;
-        }
-    }
-    if smoke {
-        return ok;
-    }
-    for key in ["contracted_ms", "from_scratch_ms"] {
-        let (Some(got), Some(want)) = (extract_number(fresh, key), extract_number(baseline, key))
-        else {
-            eprintln!("xtask: bench --check: {key:?} missing from a solver report");
-            ok = false;
-            continue;
-        };
-        let ratio = got / want;
-        // NaN falls into the failure branch by construction.
-        if ratio <= tolerance {
-            println!("==> bench --check: {key} {got:.4} ms vs baseline {want:.4} ms ({ratio:.3}x)");
-        } else {
-            eprintln!(
-                "xtask: bench --check: {key} regressed {ratio:.3}x over baseline \
-                 ({got:.4} ms vs {want:.4} ms, tolerance {tolerance}x)"
-            );
-            ok = false;
-        }
-    }
-    ok
-}
-
-/// Compare a fresh serve report against the committed baseline.
-///
-/// The codec reply's `reply_bytes` and `reply_fnv` must equal the
-/// baseline's in every mode: they pin the encoder's wire bytes. In full
-/// mode only, sustained closed-loop throughput and the codec's median
-/// `encode_us` must stay within `tolerance` of the baseline. Other serve
-/// counters depend on thread interleaving and are not compared.
-fn check_serve(fresh: &str, baseline: &str, smoke: bool, tolerance: f64) -> bool {
-    let mut ok = true;
-    for key in ["reply_bytes", "reply_fnv"] {
-        match (extract_token(fresh, key), extract_token(baseline, key)) {
-            (Some(got), Some(want)) if got == want => {
-                println!("==> bench --check: codec {key} {got} matches the baseline");
-            }
-            (got, want) => {
-                eprintln!(
-                    "xtask: bench --check: codec {key} diverged from baseline (baseline \
-                     {want:?}, fresh {got:?}): the encoder's wire bytes changed, or the \
-                     solver's f64 output did"
-                );
-                ok = false;
-            }
-        }
-    }
-    if smoke {
-        return ok;
-    }
-    for (key, lower_is_better) in [("throughput_rps", false), ("encode_us", true)] {
-        let (Some(got), Some(want)) = (extract_number(fresh, key), extract_number(baseline, key))
-        else {
-            eprintln!("xtask: bench --check: {key} missing from a serve report");
-            ok = false;
-            continue;
-        };
-        let ratio = if lower_is_better {
-            got / want
-        } else {
-            want / got
-        };
-        // NaN falls into the failure branch by construction.
-        if ratio <= tolerance {
-            println!("==> bench --check: {key} {got:.1} vs baseline {want:.1} ({ratio:.3}x)");
-        } else {
-            eprintln!(
-                "xtask: bench --check: {key} regressed {ratio:.3}x against baseline \
-                 ({got:.1} vs {want:.1}, tolerance {tolerance}x)"
-            );
-            ok = false;
-        }
-    }
-    ok
-}
-
-/// The traced `online-skewed` pass whose work counters `bench` pins: the
-/// same invocation as CI's short traced run. Traced runs do a fixed amount
-/// of work, whatever `--seconds` says.
+/// The traced `online-skewed` pass whose work counters `bench` pins (CI
+/// runs it through `cargo xtask bench --check`). Traced runs do a fixed
+/// amount of work, whatever `--seconds` says.
 const ONLINE_ARGS: &[&str] = &[
     "--workload",
     "online-skewed",
@@ -590,63 +338,40 @@ fn check_online(fresh: &str, baseline: &str) -> bool {
     ok
 }
 
-fn bench(opts: &BenchOptions) -> ExitCode {
+fn bench(check: bool) -> ExitCode {
+    const REPORT: &str = "BENCH_online.json";
     let root = workspace_root();
-    let mut ok = true;
-    for (bin, report, keys) in [
-        ("bench_solver", "BENCH_solver.json", BENCH_SOLVER_KEYS),
-        ("bench_serve", "BENCH_serve.json", BENCH_SERVE_KEYS),
-        ("amfbench", "BENCH_online.json", &[][..]),
-    ] {
-        let committed = root.join(report);
-        // In check mode the committed baseline is the reference: read it
-        // before the run, and keep the fresh report out of the way under
-        // target/ so the working tree stays clean.
-        let (out, baseline) = if opts.check {
-            let baseline = match std::fs::read_to_string(&committed) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!(
-                        "xtask: bench --check needs a committed baseline at {}: {e}",
-                        committed.display()
-                    );
-                    ok = false;
-                    continue;
-                }
-            };
-            let dir = root.join("target").join("bench-check");
-            if let Err(e) = std::fs::create_dir_all(&dir) {
-                eprintln!("xtask: cannot create {}: {e}", dir.display());
-                ok = false;
-                continue;
-            }
-            (dir.join(report), Some(baseline))
-        } else {
-            (committed, None)
+    let committed = root.join(REPORT);
+    if !check {
+        return match bench_online(&committed) {
+            Some(_) => ExitCode::SUCCESS,
+            None => ExitCode::FAILURE,
         };
-        let fresh = match bin {
-            "amfbench" => bench_online(&out),
-            _ => bench_bin(bin, &out, keys, opts.smoke),
-        };
-        let Some(fresh) = fresh else {
-            ok = false;
-            continue;
-        };
-        if let Some(baseline) = baseline {
-            ok &= match bin {
-                "bench_solver" => check_solver(&fresh, &baseline, opts.smoke, opts.tolerance),
-                "amfbench" => check_online(&fresh, &baseline),
-                _ => check_serve(&fresh, &baseline, opts.smoke, opts.tolerance),
-            };
-        }
     }
-    if ok {
-        if opts.check {
-            println!("==> bench --check passed (tolerance {}x)", opts.tolerance);
+    // In check mode the committed baseline is the reference: read it
+    // before the run, and keep the fresh report out of the way under
+    // target/ so the working tree stays clean.
+    let baseline = match std::fs::read_to_string(&committed) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!(
+                "xtask: bench --check needs a committed baseline at {}: {e}",
+                committed.display()
+            );
+            return ExitCode::FAILURE;
         }
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    };
+    let dir = root.join("target").join("bench-check");
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("xtask: cannot create {}: {e}", dir.display());
+        return ExitCode::FAILURE;
+    }
+    match bench_online(&dir.join(REPORT)) {
+        Some(fresh) if check_online(&fresh, &baseline) => {
+            println!("==> bench --check passed");
+            ExitCode::SUCCESS
+        }
+        _ => ExitCode::FAILURE,
     }
 }
 
